@@ -14,6 +14,7 @@ from __future__ import annotations
 import hmac as hmac_mod
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -136,6 +137,14 @@ class Identity:
     suite: SuiteSpec
     secret_key: bytes | None = None
     passphrase: bytes | None = None
+
+    @cached_property
+    def native_key(self) -> object:
+        """The group's key object for secret_key, built on first use.
+
+        A bad scalar raises on every access; nothing is cached then.
+        """
+        return self.suite.group.private_key(self.secret_key)
 
 
 @dataclass
@@ -385,7 +394,7 @@ def _decode(
         raise DecodeError(stats)
 
     if suite.kind == PUBLIC_KEY:
-        k = suites_mod.decap(suite, identity.secret_key, tau)
+        k = suites_mod.decap(suite, identity.native_key, tau)
         stats.exp_count += 1
     else:
         k = suites_mod.password_secret(suite, tau, identity.passphrase)

@@ -67,11 +67,6 @@ class Fe:
         return f"Fe({self.val})"
 
 
-def chi(n: Fe) -> Fe:
-    """Legendre symbol as a field element: 0, 1, or -1."""
-    return n ** ((P - 1) // 2)
-
-
 def is_square(n: Fe) -> bool:
     return is_square_mod(n.val, P)
 
@@ -142,24 +137,6 @@ def map_from_curve(u: Fe, v_is_negative: bool) -> Fe:
     if v_is_negative:
         u = t
     return abs(u * isr)
-
-
-def map_to_curve_reference(r: Fe) -> tuple[Fe, Fe]:
-    """Textbook formulation of map_to_curve; kept as a cross-check."""
-    w = -Fe(A) / (Fe(1) + NON_SQUARE * r**2)
-    e = chi(w**3 + Fe(A) * w**2 + w)
-    u = e * w - (Fe(1) - e) * Fe(A // 2)
-    v = -e * sqrt(u**3 + Fe(A) * u**2 + u)
-    return u, v
-
-
-def map_from_curve_reference(u: Fe, v_is_negative: bool) -> Fe:
-    """Textbook counterpart of map_from_curve; kept as a cross-check."""
-    if not can_map_from_curve(u):
-        raise ValueError("point has no representative")
-    if v_is_negative:
-        return sqrt(-(u + Fe(A)) / (NON_SQUARE * u))
-    return sqrt(-u / (NON_SQUARE * (u + Fe(A))))
 
 
 def can_map_from_curve(u: Fe) -> bool:

@@ -1,51 +1,40 @@
 """Modular arithmetic kernels for the point codecs.
 
-Uses gmpy2 when available (5-50x faster on 256-bit operands), otherwise
-plain Python integers.  Callers only see ints.
+Plain Python integers throughout.  Inversion is the built-in extended
+Euclid (`pow(a, -1, p)`) and the quadratic-residue test is a binary
+Jacobi symbol; both cost a fraction of the 256-bit exponentiation that
+Fermat and Euler would need.  Only public values reach these kernels:
+points and representatives, never a secret scalar.
 """
 
 from __future__ import annotations
 
-try:
-    import gmpy2 as _g
+powmod = pow
 
-    def powmod(base: int, exp: int, mod: int) -> int:
-        return int(_g.powmod(base, exp, mod))
 
-    def invert(a: int, mod: int) -> int:
-        return int(_g.invert(a, mod))
+def invert(a: int, mod: int) -> int:
+    return pow(a, -1, mod)
 
-    def legendre(a: int, p: int) -> int:
-        return int(_g.legendre(a, p))
 
-except ImportError:  # pragma: no cover - exercised via the _pure aliases
-
-    def powmod(base: int, exp: int, mod: int) -> int:
-        return pow(base, exp, mod)
-
-    def invert(a: int, mod: int) -> int:
-        return pow(a, mod - 2, mod)
-
-    def legendre(a: int, p: int) -> int:
-        r = pow(a % p, (p - 1) // 2, p)
-        return -1 if r == p - 1 else r
+def legendre(a: int, p: int) -> int:
+    """Jacobi symbol (a/p) for odd p > 0; the Legendre symbol when p is
+    prime.  0 when a is a multiple of p."""
+    a %= p
+    t = 1
+    while a:
+        if not a & 1:
+            z = (a & -a).bit_length() - 1
+            a >>= z
+            # (2/p) = -1 exactly when p = 3 or 5 mod 8
+            if z & 1 and p & 7 in (3, 5):
+                t = -t
+        # Reciprocity: flip when both are 3 mod 4.
+        if a & p & 2:
+            t = -t
+        a, p = p % a, a
+    return t if p == 1 else 0
 
 
 def is_square_mod(a: int, p: int) -> bool:
     """Whether a is a quadratic residue modulo an odd prime p; 0 counts."""
-    return legendre(a % p, p) != -1
-
-
-# Pure-Python reference versions, kept importable so tests can cross-check
-# the accelerated path regardless of what is installed.
-def powmod_pure(base: int, exp: int, mod: int) -> int:
-    return pow(base, exp, mod)
-
-
-def invert_pure(a: int, mod: int) -> int:
-    return pow(a, mod - 2, mod)
-
-
-def legendre_pure(a: int, p: int) -> int:
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    return legendre(a, p) != -1

@@ -109,10 +109,6 @@ class PadSpec:
             return -(-length // self.block) * self.block
         return length
 
-    def next_len(self, length: int) -> int:
-        """Smallest permitted length strictly greater than or equal to length."""
-        return self.pad_len(length)
-
 
 def pad_len(spec: PadSpec, length: int) -> int:
     return spec.pad_len(length)

@@ -36,12 +36,15 @@ class SeededSource(RandomSource):
         self._buf = b""
 
     def randbytes(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            block = hashlib.sha256(
-                self._seed + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            self._buf += block
+        short = n - len(self._buf)
+        if short > 0:
+            # Joined once, so a large request costs linear, not quadratic, time.
+            first = self._counter
+            self._counter += -(-short // 32)
+            self._buf += b"".join(
+                hashlib.sha256(self._seed + i.to_bytes(8, "big")).digest()
+                for i in range(first, self._counter)
+            )
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 

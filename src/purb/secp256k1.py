@@ -7,7 +7,7 @@ inverse branches; every point encodes after a couple of tries, and every
 64-byte string decodes, so decoding is total.
 
 Like the Curve25519 codec, this runs once per blob per suite; scalar
-multiplication uses the native backend except in test oracles.
+multiplication is left to the native backend (see suites.py).
 """
 
 from __future__ import annotations
@@ -135,24 +135,6 @@ def jac_affine(q: Jac) -> Point:
     zi = invert(z, P)
     zi2 = zi * zi % P
     return (x * zi2 % P, y * zi2 * zi % P)
-
-
-def scalar_mult(k: int, pt: Point = (GX, GY)) -> Point:
-    """Double-and-add ladder; test oracle, not the production DH path."""
-    k %= N
-    acc: Jac = None
-    add: Jac = to_jac(pt)
-    while k:
-        if k & 1:
-            acc = jac_add(acc, add)
-        add = jac_double(add)
-        k >>= 1
-    return jac_affine(acc)
-
-
-def is_on_curve(pt: Point) -> bool:
-    x, y = pt
-    return (y * y - (x * x * x + B)) % P == 0
 
 
 # Shallue-van de Woestijne map constants.

@@ -44,14 +44,16 @@ class Curve25519Group:
     encoded_len = curve25519.ENCODED_LEN
     scalar_len = 32
 
-    def keygen_raw(self, rng: RandomSource) -> tuple[bytes, bytes]:
-        sk = rng.randbytes(32)
-        pk = X25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
-        return sk, pk
+    def private_key(self, sk: bytes) -> X25519PrivateKey:
+        return X25519PrivateKey.from_private_bytes(sk)
 
-    def dh(self, sk: bytes, element: bytes) -> bytes:
+    def keygen_raw(self, rng: RandomSource) -> tuple[bytes, bytes, X25519PrivateKey]:
+        sk = rng.randbytes(32)
+        priv = self.private_key(sk)
+        return sk, priv.public_key().public_bytes_raw(), priv
+
+    def dh(self, priv: X25519PrivateKey, element: bytes) -> bytes:
         try:
-            priv = X25519PrivateKey.from_private_bytes(sk)
             return priv.exchange(X25519PublicKey.from_public_bytes(element))
         except ValueError:
             # Small-order peer point; the all-zero secret keeps the
@@ -72,16 +74,21 @@ class Secp256k1Group:
     encoded_len = secp256k1.ENCODED_LEN
     scalar_len = 32
 
-    def keygen_raw(self, rng: RandomSource) -> tuple[bytes, tuple[int, int]]:
-        k = random_scalar_below(rng, secp256k1.N)
-        nums = ec.derive_private_key(k, ec.SECP256K1()).public_key().public_numbers()
-        return k.to_bytes(32, "big"), (nums.x, nums.y)
-
-    def dh(self, sk: bytes, element: tuple[int, int]) -> bytes:
+    def private_key(self, sk: bytes) -> ec.EllipticCurvePrivateKey:
         k = int.from_bytes(sk, "big")
         if not 1 <= k < secp256k1.N:
             raise ValueError("scalar out of range")
-        priv = ec.derive_private_key(k, ec.SECP256K1())
+        return ec.derive_private_key(k, ec.SECP256K1())
+
+    def keygen_raw(
+        self, rng: RandomSource
+    ) -> tuple[bytes, tuple[int, int], ec.EllipticCurvePrivateKey]:
+        sk = random_scalar_below(rng, secp256k1.N).to_bytes(32, "big")
+        priv = self.private_key(sk)
+        nums = priv.public_key().public_numbers()
+        return sk, (nums.x, nums.y), priv
+
+    def dh(self, priv: ec.EllipticCurvePrivateKey, element: tuple[int, int]) -> bytes:
         pub = ec.EllipticCurvePublicNumbers(
             element[0], element[1], ec.SECP256K1()
         ).public_key()
@@ -174,6 +181,9 @@ class KeyPair:
     pk: object
     pk_encoded: bytes
     attempts: int = 1
+    # The group's native key for sk, built once by keygen; not part of
+    # the pair's identity.
+    native_key: object = field(default=None, compare=False, repr=False)
 
 
 class Registry:
@@ -272,10 +282,10 @@ def keygen(suite: SuiteSpec, rng: RandomSource) -> KeyPair:
     attempts = 0
     while True:
         attempts += 1
-        sk, pk = suite.group.keygen_raw(rng)
+        sk, pk, native_key = suite.group.keygen_raw(rng)
         encoded = suite.group.hide(pk, rng)
         if encoded is not None:
-            return KeyPair(suite, sk, pk, encoded, attempts)
+            return KeyPair(suite, sk, pk, encoded, attempts, native_key)
 
 
 def encap(
@@ -290,18 +300,23 @@ def encap(
     if not recipients:
         raise ValueError("no recipients")
     eph = keygen(suite, rng)
-    keys = [suite.kem_hash(suite.group.dh(eph.sk, pk)) for pk in recipients]
+    keys = [suite.kem_hash(suite.group.dh(eph.native_key, pk)) for pk in recipients]
     return eph.pk_encoded, keys
 
 
-def decap(suite: SuiteSpec, sk: bytes, tau: bytes) -> bytes:
+def decap(suite: SuiteSpec, sk: object, tau: bytes) -> bytes:
     """Recover the shared secret from a hidden ephemeral key.
 
-    Total: any string of the right length decodes to some group element,
-    so a wrong or random tau surfaces only as trial-decryption failure.
+    sk is the raw scalar or the group's native key for it (see
+    private_key); callers that decap repeatedly pass the native key so
+    it is built once.  Total: any string of the right length decodes to
+    some group element, so a wrong or random tau surfaces only as
+    trial-decryption failure.
     """
     if len(tau) != suite.encoded_key_len:
         raise ValueError("encoded key has wrong length")
+    if isinstance(sk, (bytes, bytearray)):
+        sk = suite.group.private_key(sk)
     element = suite.group.unhide(tau)
     return suite.kem_hash(suite.group.dh(sk, element))
 

@@ -3,12 +3,17 @@
 Everything here recomputes expected values by a different route than the
 library code under test: permitted lengths by mantissa inspection,
 worst-case padding overhead by closed form, Diffie-Hellman by a
-hand-rolled ladder, leakage by full enumeration.
+hand-rolled ladder, leakage by full enumeration, field kernels by Fermat
+and Euler, the Elligator2 maps by their textbook formulas, and the seeded
+byte stream by its SHA-256 counter definition.
 """
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+
+from purb import curve25519 as c25519
 
 
 def permitted_length(n: int) -> bool:
@@ -103,3 +108,98 @@ def x25519_oracle(scalar: bytes, point: bytes) -> bytes:
     u = int.from_bytes(point, "little") & ((1 << 255) - 1)
     out = _x25519_ladder(int.from_bytes(bytes(k), "little"), u)
     return out.to_bytes(32, "little")
+
+
+# Field kernels by Fermat and Euler: one full exponentiation each.
+
+
+def powmod_pure(base: int, exp: int, mod: int) -> int:
+    return pow(base, exp, mod)
+
+
+def invert_pure(a: int, mod: int) -> int:
+    return pow(a, mod - 2, mod)
+
+
+def legendre_pure(a: int, p: int) -> int:
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+# secp256k1 by affine double-and-add, for cross-checking the native backend.
+
+K256_P = 2**256 - 2**32 - 977
+K256_N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
+K256_G = (
+    0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
+    0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
+)
+
+
+def _k256_add(p1, p2):
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2:
+        if (y1 + y2) % K256_P == 0:
+            return None
+        lam = 3 * x1 * x1 * pow(2 * y1, -1, K256_P)
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, K256_P)
+    x3 = (lam * lam - x1 - x2) % K256_P
+    return x3, (lam * (x1 - x3) - y1) % K256_P
+
+
+def scalar_mult(k: int, pt: tuple[int, int] = K256_G) -> tuple[int, int] | None:
+    """k * pt on secp256k1; None is the point at infinity."""
+    k %= K256_N
+    acc = None
+    while k:
+        if k & 1:
+            acc = _k256_add(acc, pt)
+        pt = _k256_add(pt, pt)
+        k >>= 1
+    return acc
+
+
+def is_on_curve(pt: tuple[int, int]) -> bool:
+    x, y = pt
+    return (y * y - (x * x * x + 7)) % K256_P == 0
+
+
+# Textbook Elligator2 on Curve25519, for cross-checking the fast maps.
+
+
+def chi(n: c25519.Fe) -> c25519.Fe:
+    """Legendre symbol as a field element: 0, 1, or -1."""
+    return n ** ((c25519.P - 1) // 2)
+
+
+def map_to_curve_reference(r: c25519.Fe) -> tuple[c25519.Fe, c25519.Fe]:
+    Fe, A = c25519.Fe, c25519.A
+    w = -Fe(A) / (Fe(1) + c25519.NON_SQUARE * r**2)
+    e = chi(w**3 + Fe(A) * w**2 + w)
+    u = e * w - (Fe(1) - e) * Fe(A // 2)
+    v = -e * c25519.sqrt(u**3 + Fe(A) * u**2 + u)
+    return u, v
+
+
+def map_from_curve_reference(u: c25519.Fe, v_is_negative: bool) -> c25519.Fe:
+    Fe, A = c25519.Fe, c25519.A
+    if not c25519.can_map_from_curve(u):
+        raise ValueError("point has no representative")
+    if v_is_negative:
+        return c25519.sqrt(-(u + Fe(A)) / (c25519.NON_SQUARE * u))
+    return c25519.sqrt(-u / (c25519.NON_SQUARE * (u + Fe(A))))
+
+
+def seeded_stream(seed: bytes, n: int) -> bytes:
+    """First n bytes of the seeded source: block i is SHA-256(seed || i)."""
+    out = bytearray()
+    i = 0
+    while len(out) < n:
+        out += hashlib.sha256(seed + i.to_bytes(8, "big")).digest()
+        i += 1
+    return bytes(out[:n])

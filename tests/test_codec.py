@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import K256_N
 from purb.codec import (
     AES256_CTR_SCHEME,
     CHACHA20_SCHEME,
@@ -432,6 +433,52 @@ class TestDecodeFailures:
         assert stats.trial_count >= eager.trial_count
         with pytest.raises(DecodeError):
             decode(blob, pk_identity(outsider), hardened=True)
+
+
+class TestIdentityKeyCache:
+    @pytest.mark.parametrize("alias", ["A", "B"])
+    def test_one_build_per_identity(self, keypairs, monkeypatch, alias):
+        kp = keypairs[alias][0]
+        group = type(kp.suite.group)
+        builds = {"n": 0}
+        real_private_key = group.private_key
+
+        def counting_private_key(self, sk):
+            builds["n"] += 1
+            return real_private_key(self, sk)
+
+        rng = seeded_rng(60)
+        payloads = [b"msg %d" % i for i in range(20)]
+        blobs = [encode([pk_recipient(kp)], p, PadSpec.padme(), rng) for p in payloads]
+        monkeypatch.setattr(group, "private_key", counting_private_key)
+        ident = pk_identity(kp)
+        for payload, blob in zip(payloads, blobs):
+            out, stats = decode(blob, ident)
+            assert out == payload and stats.exp_count == 1
+        assert builds["n"] == 1
+
+    @pytest.mark.parametrize(
+        "scalar", [0, K256_N, K256_N + 1, 2**256 - 1], ids=["zero", "N", "N+1", "max"]
+    )
+    def test_out_of_range_k256_scalar_fails_uniformly(self, keypairs, scalar):
+        kp = keypairs["A"][0]
+        blob = encode([pk_recipient(kp)], b"range", PadSpec.padme(), seeded_rng(61))
+        ident = Identity(kp.suite, secret_key=scalar.to_bytes(32, "big"))
+        for _ in range(3):
+            with pytest.raises(DecodeError) as info:
+                decode(blob, ident)
+            assert str(info.value) == "decode failed"
+
+    def test_cache_leaves_equality_and_hash_alone(self, keypairs):
+        kp, other = keypairs["A"][0], keypairs["A"][1]
+        fresh, used = pk_identity(kp), pk_identity(kp)
+        before = hash(used)
+        blob = encode([pk_recipient(kp)], b"eq", PadSpec.padme(), seeded_rng(62))
+        assert decode(blob, used)[0] == b"eq"
+        assert "native_key" in vars(used)
+        assert used == fresh and hash(used) == hash(fresh) == before
+        assert repr(used) == repr(fresh)
+        assert used != pk_identity(other)
 
 
 class TestDecodeStats:

@@ -2,7 +2,13 @@ import os
 
 import pytest
 
-from helpers import x25519_oracle
+from helpers import (
+    is_on_curve,
+    map_from_curve_reference,
+    map_to_curve_reference,
+    scalar_mult,
+    x25519_oracle,
+)
 from purb import curve25519 as c25519
 from purb import secp256k1 as k256
 from purb.rng import seeded_rng
@@ -49,7 +55,7 @@ K256_DECODE_VECTORS = [
 
 class TestSecp256k1Group:
     def test_generator_on_curve(self):
-        assert k256.is_on_curve((k256.GX, k256.GY))
+        assert is_on_curve((k256.GX, k256.GY))
 
     def test_scalar_mult_matches_native(self):
         from cryptography.hazmat.primitives.asymmetric import ec
@@ -58,10 +64,10 @@ class TestSecp256k1Group:
         for _ in range(10):
             k = int.from_bytes(rng.randbytes(32), "big") % k256.N or 1
             nums = ec.derive_private_key(k, ec.SECP256K1()).public_key().public_numbers()
-            assert k256.scalar_mult(k) == (nums.x, nums.y)
+            assert scalar_mult(k) == (nums.x, nums.y)
 
     def test_order(self):
-        assert k256.scalar_mult(k256.N + 1) == (k256.GX, k256.GY)
+        assert scalar_mult(k256.N + 1) == (k256.GX, k256.GY)
 
 
 class TestSecp256k1Codec:
@@ -83,14 +89,14 @@ class TestSecp256k1Codec:
         assert py & 1 == parity
 
     def test_forward_map_total_at_zero(self):
-        assert k256.is_on_curve(k256._fe_point(k256.forward_map(k256.Fe(0))))
+        assert is_on_curve(k256._fe_point(k256.forward_map(k256.Fe(0))))
 
     def test_preimage_uniqueness(self):
         rng = seeded_rng(12)
         for _ in range(30):
             u = k256.Fe(int.from_bytes(rng.randbytes(32), "big"))
             x, y = k256.forward_map(u)
-            assert k256.is_on_curve((x.val, y.val))
+            assert is_on_curve((x.val, y.val))
             hits = [
                 v
                 for v in (k256.reverse_map(x, y, j) for j in range(4))
@@ -102,14 +108,14 @@ class TestSecp256k1Codec:
     def test_hide_unhide_roundtrip(self):
         rng = seeded_rng(13)
         for _ in range(40):
-            pt = k256.scalar_mult(int.from_bytes(rng.randbytes(32), "big") % k256.N or 1)
+            pt = scalar_mult(int.from_bytes(rng.randbytes(32), "big") % k256.N or 1)
             rep = k256.hide(pt, rng)
             assert len(rep) == 64
             assert k256.unhide(rep) == pt
 
     def test_unhide_total(self):
         for data in (b"\x00" * 64, b"\xff" * 64, os.urandom(64)):
-            assert k256.is_on_curve(k256.unhide(data))
+            assert is_on_curve(k256.unhide(data))
 
     def test_unhide_length_checked(self):
         with pytest.raises(ValueError):
@@ -121,7 +127,7 @@ class TestCurve25519Codec:
         rng = seeded_rng(14)
         for _ in range(80):
             r = c25519.Fe(int.from_bytes(rng.randbytes(32), "little") & ((1 << 254) - 1))
-            assert c25519.map_to_curve(r) == c25519.map_to_curve_reference(r)
+            assert c25519.map_to_curve(r) == map_to_curve_reference(r)
 
     def test_inverse_map_agrees_with_reference(self):
         rng = seeded_rng(15)
@@ -130,7 +136,7 @@ class TestCurve25519Codec:
             r = c25519.Fe(int.from_bytes(rng.randbytes(32), "little") & ((1 << 254) - 1))
             u, v = c25519.map_to_curve(r)
             got = c25519.map_from_curve(u, v.is_negative())
-            assert got == c25519.map_from_curve_reference(u, v.is_negative())
+            assert got == map_from_curve_reference(u, v.is_negative())
             assert got == abs(r)
             done += 1
 
@@ -210,10 +216,10 @@ class TestNativeDhAgainstLadder:
         for _ in range(6):
             a = int.from_bytes(rng.randbytes(32), "big") % k256.N or 1
             b = int.from_bytes(rng.randbytes(32), "big") % k256.N or 1
-            pub_b = k256.scalar_mult(b)
+            pub_b = scalar_mult(b)
             shared = ec.derive_private_key(a, ec.SECP256K1()).exchange(
                 ec.ECDH(),
                 ec.EllipticCurvePublicNumbers(*pub_b, ec.SECP256K1()).public_key(),
             )
-            want = k256.scalar_mult(a, pub_b)[0].to_bytes(32, "big")
+            want = scalar_mult(a, pub_b)[0].to_bytes(32, "big")
             assert shared == want

@@ -1,3 +1,8 @@
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import invert_pure, legendre_pure, powmod_pure
 from purb import fieldmath
 from purb.rng import seeded_rng
 
@@ -11,9 +16,9 @@ def test_accelerated_matches_pure():
         for _ in range(25):
             a = int.from_bytes(rng.randbytes(32), "big") % p or 1
             e = int.from_bytes(rng.randbytes(8), "big")
-            assert fieldmath.powmod(a, e, p) == fieldmath.powmod_pure(a, e, p)
-            assert fieldmath.invert(a, p) == fieldmath.invert_pure(a, p)
-            assert fieldmath.legendre(a, p) == fieldmath.legendre_pure(a, p)
+            assert fieldmath.powmod(a, e, p) == powmod_pure(a, e, p)
+            assert fieldmath.invert(a, p) == invert_pure(a, p)
+            assert fieldmath.legendre(a, p) == legendre_pure(a, p)
 
 
 def test_zero_is_square():
@@ -25,3 +30,38 @@ def test_invert_identity():
     for p in (P1, P2):
         for a in (2, 3, 12345, p - 1):
             assert fieldmath.invert(a, p) * a % p == 1
+
+
+@pytest.mark.parametrize("p", [P1, P2])
+class TestJacobiEdgeCases:
+    def test_multiples_of_p_are_zero(self, p):
+        for a in (0, p, 2 * p, -p):
+            assert fieldmath.legendre(a, p) == 0
+
+    def test_negative_matches_euler(self, p):
+        for a in (-1, -2, -3, -(p - 1), -(p + 5), -(3 * p + 7)):
+            assert fieldmath.legendre(a, p) == legendre_pure(a, p)
+
+    def test_at_least_p_matches_euler(self, p):
+        for a in (p + 1, p + 2, 2 * p - 1, 5 * p + 3, p * p + 11, 2**600 + 1):
+            assert fieldmath.legendre(a, p) == legendre_pure(a, p)
+
+    def test_product_of_two_non_squares_is_square(self, p):
+        rng = seeded_rng(51)
+        non_squares = []
+        while len(non_squares) < 6:
+            a = int.from_bytes(rng.randbytes(32), "big") % p
+            if legendre_pure(a, p) == -1:
+                non_squares.append(a)
+        for a, b in zip(non_squares, non_squares[1:]):
+            assert fieldmath.legendre(a, p) == fieldmath.legendre(b, p) == -1
+            assert fieldmath.legendre(a * b, p) == 1
+            assert fieldmath.legendre(a * b % p, p) == 1
+            assert not fieldmath.is_square_mod(a, p)
+            assert fieldmath.is_square_mod(a * b, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(min_value=-(2**520), max_value=2**520), p=st.sampled_from([P1, P2]))
+def test_legendre_matches_euler(a, p):
+    assert fieldmath.legendre(a, p) == legendre_pure(a, p)

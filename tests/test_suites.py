@@ -1,5 +1,7 @@
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
 
+from helpers import K256_N
 from purb.rng import seeded_rng
 from purb.suites import (
     PASSWORD,
@@ -145,6 +147,61 @@ class TestEncapDecap:
         pks = [kp.pk for kp in keypairs["B"][:3]]
         encap(suite, pks, seeded_rng(38))
         assert calls["dh"] == 3
+
+    @pytest.mark.parametrize("alias", ["A", "B"])
+    def test_one_private_key_build_per_encap(self, registry, keypairs, monkeypatch, alias):
+        # The ephemeral's native key comes from keygen; the recipients
+        # only add exchanges, never another key build.
+        suite = registry.by_alias(alias)
+        group = type(suite.group)
+        counts = {"private_key": 0, "keygen_raw": 0, "derive": 0}
+        real_private_key, real_keygen_raw = group.private_key, group.keygen_raw
+        real_derive = ec.derive_private_key
+
+        def counting_private_key(self, sk):
+            counts["private_key"] += 1
+            return real_private_key(self, sk)
+
+        def counting_keygen_raw(self, rng):
+            counts["keygen_raw"] += 1
+            return real_keygen_raw(self, rng)
+
+        def counting_derive(*args, **kwargs):
+            counts["derive"] += 1
+            return real_derive(*args, **kwargs)
+
+        monkeypatch.setattr(group, "private_key", counting_private_key)
+        monkeypatch.setattr(group, "keygen_raw", counting_keygen_raw)
+        monkeypatch.setattr(ec, "derive_private_key", counting_derive)
+        pks = [kp.pk for kp in keypairs[alias]] * 5
+        seen = set()
+        for n in (1, 3, 40):
+            counts.update(private_key=0, keygen_raw=0, derive=0)
+            _, keys = encap(suite, pks[:n], seeded_rng(45))
+            assert len(keys) == n
+            # One build per keygen attempt (the pair codec never retries);
+            # the same seed gives the same attempts at every n.
+            assert counts["private_key"] == counts["keygen_raw"]
+            assert counts["derive"] == (1 if alias == "A" else 0)
+            seen.add(counts["private_key"])
+        assert len(seen) == 1
+        if alias == "A":
+            assert seen == {1}
+
+    @pytest.mark.parametrize("alias", ["A", "B"])
+    def test_decap_accepts_raw_or_native_key(self, registry, alias):
+        suite = registry.by_alias(alias)
+        kp = keygen(suite, seeded_rng(47))
+        tau, keys = encap(suite, [kp.pk], seeded_rng(48))
+        assert decap(suite, kp.sk, tau) == keys[0]
+        assert decap(suite, suite.group.private_key(kp.sk), tau) == keys[0]
+        assert decap(suite, kp.native_key, tau) == keys[0]
+
+    @pytest.mark.parametrize("scalar", [0, K256_N, 2**256 - 1])
+    def test_k256_private_key_range_checked(self, registry, scalar):
+        group = registry.by_alias("A").group
+        with pytest.raises(ValueError):
+            group.private_key(scalar.to_bytes(32, "big"))
 
     def test_decap_total_on_zero_tau(self, registry):
         for alias in ("A", "B"):

@@ -39,18 +39,28 @@ MAX_OFFSET = 1 << 48  # payload offsets are 48-bit fields
 _ZERO_NONCE = b"\x00" * 12  # entry-point keys are single-use per blob
 
 
-def _chacha20_stream(key: bytes, data: bytes) -> bytes:
-    enc = Cipher(algorithms.ChaCha20(key, b"\x00" * 16), mode=None).encryptor()
-    return enc.update(data)
+def _keystream_xor(cipher: Cipher, data, out):
+    enc = cipher.encryptor()
+    if out is None:
+        return enc.update(data)
+    enc.update_into(data, out)
+    return out
 
 
-def _aes256_ctr(key: bytes, data: bytes) -> bytes:
-    enc = Cipher(algorithms.AES(key), modes.CTR(b"\x00" * 16)).encryptor()
-    return enc.update(data)
+def _chacha20_stream(key: bytes, data, out=None):
+    cipher = Cipher(algorithms.ChaCha20(key, b"\x00" * 16), mode=None)
+    return _keystream_xor(cipher, data, out)
+
+
+def _aes256_ctr(key: bytes, data, out=None):
+    cipher = Cipher(algorithms.AES(key), modes.CTR(b"\x00" * 16))
+    return _keystream_xor(cipher, data, out)
 
 
 # Payload schemes are keystream XOR, so ciphertext length equals plaintext
 # length and the same call decrypts; integrity comes from the global MAC.
+# Each takes any bytes-like input and returns bytes, or, given an `out`
+# buffer of exactly len(data) bytes, writes into it and returns it.
 PAYLOAD_SCHEMES = {
     0x01: _chacha20_stream,
     0x02: _aes256_ctr,
@@ -203,7 +213,7 @@ def seal_entry_point(suite: SuiteSpec, z: bytes, plain: bytes) -> bytes:
 def open_entry_point(suite: SuiteSpec, z: bytes, data: bytes) -> bytes | None:
     aead_cls, _, _ = suite.ep_aead()
     try:
-        return aead_cls(z).decrypt(_ZERO_NONCE, bytes(data), None)
+        return aead_cls(z).decrypt(_ZERO_NONCE, data, None)
     except InvalidTag:
         return None
 
@@ -224,30 +234,9 @@ def _group_recipients(
     return [(registry.by_id(sid), groups[sid]) for sid in ordered]
 
 
-def encode(
-    recipients: list[Recipient],
-    payload: bytes,
-    pad: PadSpec | None = None,
-    rng: RandomSource | None = None,
-    *,
-    payload_scheme_id: int = CHACHA20_SCHEME,
-    mac_id: int = HMAC_SHA256,
-    hash_prime_id: int = SHA256_PRIME,
-    registry: Registry | None = None,
-    flat: bool = False,
-) -> bytes:
-    blob, _ = encode_detailed(
-        recipients,
-        payload,
-        pad,
-        rng,
-        payload_scheme_id=payload_scheme_id,
-        mac_id=mac_id,
-        hash_prime_id=hash_prime_id,
-        registry=registry,
-        flat=flat,
-    )
-    return blob
+def encode(*args, **kwargs) -> bytes:
+    """encode_detailed without the report: same arguments, returns the blob."""
+    return encode_detailed(*args, **kwargs)[0]
 
 
 def encode_detailed(
@@ -314,7 +303,6 @@ def encode_detailed(
     plan = hdr.finalize_lengths(len(payload), mac_len, pad)
 
     key_enc, key_mac = derive_payload_keys(session_key, hash_prime_id)
-    payload_ct = PAYLOAD_SCHEMES[payload_scheme_id](key_enc, payload)
 
     meta = Meta(
         payload_scheme_id=payload_scheme_id,
@@ -328,10 +316,16 @@ def encode_detailed(
         for (z, _), slot in zip(zps, slots):
             hdr.write_entry(slot, seal_entry_point(suite, z, plain))
 
-    blob = hdr.build_blob(payload_ct, rng)
-    for suite, tau in taus:
-        layout_mod.xor_encode(blob, suite, tau, plan.pubkey_pos[suite.suite_id])
-    blob[plan.mac_pos :] = mac_fn(key_mac, bytes(blob[: plan.mac_pos]))
+    blob = hdr.build_blob(rng)
+    with memoryview(blob) as view:
+        # The ciphertext goes in before the XOR step: a suite's key
+        # positions may fall inside the payload region.
+        PAYLOAD_SCHEMES[payload_scheme_id](
+            key_enc, payload, out=view[plan.payload_start : plan.payload_end]
+        )
+        for suite, tau in taus:
+            layout_mod.xor_encode(blob, suite, tau, plan.pubkey_pos[suite.suite_id])
+        blob[plan.mac_pos :] = mac_fn(key_mac, view[: plan.mac_pos])
 
     report = EncodeReport(
         purb_len=plan.purb_len,
@@ -355,7 +349,7 @@ def encode_detailed(
 
 
 def decode(
-    blob: bytes,
+    blob,
     identity: Identity,
     *,
     hardened: bool = False,
@@ -363,16 +357,19 @@ def decode(
 ) -> tuple[bytes, DecodeStats]:
     """Trial-decrypt a blob under one identity.
 
-    The suite carries everything a decoder needs; no registry, version
+    The blob may be any bytes-like object (bytes, bytearray, memoryview,
+    mmap.mmap); it is read through one memoryview and never copied.  The
+    suite carries everything a decoder needs; no registry, version
     field, or other cleartext marker is consulted.  Returns the payload
-    and operation counts, or raises DecodeError; all failure modes are
-    indistinguishable from the caller's point of view.  In hardened mode
-    every candidate slot is tried and a dummy tag check runs even on
-    misses, as a best-effort timing leveler.
+    as bytes and operation counts, or raises DecodeError; all failure
+    modes are indistinguishable from the caller's point of view.  In
+    hardened mode every candidate slot is tried and a dummy tag check
+    runs even on misses, as a best-effort timing leveler.
     """
     stats = DecodeStats()
     try:
-        payload = _decode(blob, identity, stats, hardened, flat)
+        with memoryview(blob) as view:
+            payload = _decode(view, identity, stats, hardened, flat)
     except DecodeError:
         raise
     except Exception:
@@ -382,7 +379,7 @@ def decode(
 
 
 def _decode(
-    blob: bytes,
+    blob: memoryview,
     identity: Identity,
     stats: DecodeStats,
     hardened: bool,
@@ -447,10 +444,11 @@ def _decode(
     if mac_len >= len(blob):
         raise DecodeError(stats)
     key_enc, key_mac = derive_payload_keys(session_key, meta.hash_prime_id)
-    body, sigma = blob[:-mac_len], blob[-mac_len:]
-    if not hmac_mod.compare_digest(mac_fn(key_mac, bytes(body)), bytes(sigma)):
+    mac_pos = len(blob) - mac_len
+    tag = mac_fn(key_mac, blob[:mac_pos])
+    if not hmac_mod.compare_digest(tag, bytes(blob[mac_pos:])):
         raise DecodeError(stats)
-    if meta.payload_end > len(body):
+    if meta.payload_end > mac_pos:
         raise DecodeError(stats)
-    payload_ct = body[meta.payload_start : meta.payload_end]
-    return PAYLOAD_SCHEMES[meta.payload_scheme_id](key_enc, bytes(payload_ct))
+    payload_ct = blob[meta.payload_start : meta.payload_end]
+    return PAYLOAD_SCHEMES[meta.payload_scheme_id](key_enc, payload_ct)

@@ -196,14 +196,18 @@ class HeaderLayout:
         plan.mac_pos = purb_len - mac_len
         return plan
 
-    def build_blob(self, payload_ct: bytes, rng: RandomSource) -> bytearray:
-        """Header, payload ciphertext, random padding, zeroed tag region."""
+    def build_blob(self, rng: RandomSource) -> bytearray:
+        """The final buffer: header, zeroed payload region, random padding,
+        zeroed tag region.
+
+        The caller writes the payload ciphertext into
+        [payload_start, payload_end) and the tag from mac_pos on.
+        """
         plan = self.plan
         if plan.purb_len == 0:
             raise ValueError("finalize_lengths must run first")
         blob = bytearray(plan.purb_len)
         blob[: self.end] = self.content
-        blob[plan.payload_start : plan.payload_end] = payload_ct
         blob[plan.payload_end : plan.mac_pos] = rng.randbytes(
             plan.mac_pos - plan.payload_end
         )

@@ -1,3 +1,6 @@
+import mmap
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -433,6 +436,77 @@ class TestDecodeFailures:
         assert stats.trial_count >= eager.trial_count
         with pytest.raises(DecodeError):
             decode(blob, pk_identity(outsider), hardened=True)
+
+
+def _window(blob):
+    # a view into a larger buffer, so offsets are not those of the blob
+    return memoryview(b"<<" + blob + b">>")[2:-2]
+
+
+def _in_mmap(blob):
+    buf = mmap.mmap(-1, len(blob))
+    buf.write(blob)
+    return buf
+
+
+BUFFER_KINDS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": _window,
+    "mmap": _in_mmap,
+}
+
+
+class TestBufferInputs:
+    @pytest.mark.parametrize("kind", list(BUFFER_KINDS))
+    def test_round_trip_from_buffer(self, keypairs, kind):
+        kp = keypairs["B"][0]
+        payload = bytes(range(256)) * 3
+        blob = encode([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(70))
+        buf = BUFFER_KINDS[kind](blob)
+        out, _ = decode(buf, pk_identity(kp))
+        assert type(out) is bytes and out == payload
+        if kind == "mmap":
+            buf.close()  # raises BufferError if decode kept an export
+
+    @pytest.mark.parametrize("hardened", [False, True], ids=["normal", "hardened"])
+    @pytest.mark.parametrize("kind", ["bytearray", "memoryview"])
+    def test_tampered_buffers_fail_uniformly(self, keypairs, kind, hardened):
+        kp = keypairs["B"][0]
+        blob = encode([pk_recipient(kp)], b"buffer", PadSpec.padme(), seeded_rng(71))
+        flipped = []
+        for pos in (0, 40, len(blob) // 2, len(blob) - 33, len(blob) - 1):
+            tampered = bytearray(blob)
+            tampered[pos] ^= 0x10
+            flipped.append(bytes(tampered))
+        for mutated in [blob[:-1], blob[1:], blob + b"\x00", b"\x00" + blob] + flipped:
+            with pytest.raises(DecodeError) as info:
+                decode(BUFFER_KINDS[kind](mutated), pk_identity(kp), hardened=hardened)
+            assert str(info.value) == "decode failed"
+
+
+class TestMemoryBound:
+    def test_payload_is_not_copied(self, keypairs):
+        # Encode holds the blob and its one immutable copy; decode adds
+        # only the plaintext to the blob it was handed.
+        kp = keypairs["B"][0]
+        size = 8 << 20
+        payload = seeded_rng(72).randbytes(size)
+        rs = [pk_recipient(kp)]
+        encode(rs, payload, PadSpec.padme(), seeded_rng(73))  # warm-up
+        tracemalloc.start()
+        try:
+            blob = encode(rs, payload, PadSpec.padme(), seeded_rng(73))
+            encode_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            out, _ = decode(blob, pk_identity(kp))
+            decode_new = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert out == payload
+        assert encode_peak <= 2.2 * size, encode_peak / size
+        assert decode_new <= 1.2 * size, decode_new / size
 
 
 class TestIdentityKeyCache:

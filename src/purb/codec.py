@@ -369,13 +369,13 @@ def decode(
     stats = DecodeStats()
     try:
         with memoryview(blob) as view:
-            payload = _decode(view, identity, stats, hardened, flat)
-    except DecodeError:
-        raise
+            return _decode(view, identity, stats, hardened, flat), stats
     except Exception:
-        # Uniform error: malformed input must look like any other failure.
-        raise DecodeError(stats) from None
-    return payload, stats
+        pass
+    # Uniform error: malformed input must look like any other failure.
+    # Raised outside the handler so no internal exception rides along as
+    # __context__.
+    raise DecodeError(stats)
 
 
 def _decode(

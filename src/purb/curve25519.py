@@ -2,8 +2,10 @@
 
 Only the codec lives here: a map between Montgomery u-coordinates and
 32-byte strings indistinguishable from random.  Scalar multiplication is
-done natively (see suites.py); these field operations run once per blob
-per suite, so pure Python is fine.
+done natively (see suites.py).  The field operations are pure Python:
+hide runs on each ephemeral key drawn (about two per blob per suite, as
+key generation retries), unhide once per recipient on encode and once
+per identity per blob on decode.
 
 About half of all curve points have no representative; key generation
 simply retries until it draws one.  A representative is 254 bits wide:
@@ -14,7 +16,7 @@ string maps to some curve point.
 
 from __future__ import annotations
 
-from .fieldmath import invert, is_square_mod, powmod
+from .fieldmath import invert, is_square_mod, legendre, powmod
 from .rng import RandomSource
 
 P = 2**255 - 19
@@ -99,28 +101,6 @@ def invsqrt(x: Fe) -> tuple[Fe, bool]:
 
 # The map needs a fixed non-square; 2 is the conventional choice.
 NON_SQUARE = Fe(2)
-UFACTOR = -NON_SQUARE * SQRT_M1
-VFACTOR = sqrt(UFACTOR)
-
-
-def map_to_curve(r: Fe) -> tuple[Fe, Fe]:
-    """254-bit value to curve point (u, v); total."""
-    t1 = r**2 * NON_SQUARE
-    u = t1 + Fe(1)
-    t2 = u**2
-    t3 = (Fe(A) ** 2 * t1 - t2) * Fe(A)
-    t1 = t2 * u
-    t1, square = invsqrt(t3 * t1)
-    u = r**2 * UFACTOR
-    v = r * VFACTOR
-    if square:
-        u, v = Fe(1), Fe(1)
-    v = v * t3 * t1
-    t1 = t1**2
-    u = u * -Fe(A) * t3 * t2 * t1
-    if square != v.is_negative():
-        v = -v
-    return u, v
 
 
 def map_from_curve(u: Fe, v_is_negative: bool) -> Fe:
@@ -168,9 +148,16 @@ def hide(point: bytes, rng: RandomSource) -> bytes | None:
 
 
 def unhide(rep: bytes) -> bytes:
-    """Decode 32 bytes to a u-coordinate; total, never fails."""
+    """Decode 32 bytes to a u-coordinate; total, never fails.
+
+    X25519 uses u alone, so only the u half of the Elligator2 map runs:
+    w = -A / (1 + 2r^2), and u = w if w is the u of a curve point, else
+    u = -A - w.  The denominator never vanishes: -1/2 is not a square.
+    """
     if len(rep) != ENCODED_LEN:
         raise ValueError("representative must be 32 bytes")
-    r = Fe(int.from_bytes(rep, "little") & _HIGH_MASK)
-    u, _ = map_to_curve(r)
-    return bytes(u)
+    r = int.from_bytes(rep, "little") & _HIGH_MASK
+    u = -A * invert(1 + NON_SQUARE.val * r * r, P) % P
+    if legendre(u * (u * u + A * u + 1), P) == -1:
+        u = (-A - u) % P
+    return u.to_bytes(32, "little")

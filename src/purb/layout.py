@@ -224,6 +224,13 @@ def in_range_positions(suite: SuiteSpec, purb_len: int) -> list[int]:
     return [p for p in suite.allowed_positions if p + klen <= purb_len]
 
 
+def _xor_ranges(blob, positions, klen: int, acc: int) -> int:
+    """acc XORed with each blob[pos:pos + klen], read as an integer."""
+    for pos in positions:
+        acc ^= int.from_bytes(blob[pos : pos + klen], "little")
+    return acc
+
+
 def xor_encode(blob: bytearray, suite: SuiteSpec, tau: bytes, primary: int) -> None:
     """Store tau at the primary position, masked by the other positions.
 
@@ -231,23 +238,18 @@ def xor_encode(blob: bytearray, suite: SuiteSpec, tau: bytes, primary: int) -> N
     the suite equals tau exactly.
     """
     klen = suite.encoded_key_len
-    buf = bytearray(tau)
-    for pos in in_range_positions(suite, len(blob)):
-        if pos == primary:
-            continue
-        for i in range(klen):
-            buf[i] ^= blob[pos + i]
-    blob[primary : primary + klen] = buf
+    others = [p for p in in_range_positions(suite, len(blob)) if p != primary]
+    acc = _xor_ranges(blob, others, klen, int.from_bytes(tau, "little"))
+    blob[primary : primary + klen] = acc.to_bytes(klen, "little")
 
 
-def xor_extract(blob: bytes, suite: SuiteSpec) -> bytes | None:
-    """Decoder side: XOR all in-range positions to recover the encoded key."""
+def xor_extract(blob, suite: SuiteSpec) -> bytes | None:
+    """Decoder side: XOR all in-range positions to recover the encoded key.
+
+    The blob may be any bytes-like object; only the key ranges are read.
+    """
     positions = in_range_positions(suite, len(blob))
     if not positions:
         return None
     klen = suite.encoded_key_len
-    buf = bytearray(klen)
-    for pos in positions:
-        for i in range(klen):
-            buf[i] ^= blob[pos + i]
-    return bytes(buf)
+    return _xor_ranges(blob, positions, klen, 0).to_bytes(klen, "little")

@@ -6,8 +6,10 @@ draws random u until P - f(u) lands in the image of one of f's four
 inverse branches; every point encodes after a couple of tries, and every
 64-byte string decodes, so decoding is total.
 
-Like the Curve25519 codec, this runs once per blob per suite; scalar
-multiplication is left to the native backend (see suites.py).
+As with the Curve25519 codec, hide runs once per blob per suite (on the
+ephemeral key) and unhide once per recipient on encode and once per
+identity per blob on decode; scalar multiplication is left to the
+native backend (see suites.py).
 """
 
 from __future__ import annotations

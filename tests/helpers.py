@@ -4,8 +4,9 @@ Everything here recomputes expected values by a different route than the
 library code under test: permitted lengths by mantissa inspection,
 worst-case padding overhead by closed form, Diffie-Hellman by a
 hand-rolled ladder, leakage by full enumeration, field kernels by Fermat
-and Euler, the Elligator2 maps by their textbook formulas, and the seeded
-byte stream by its SHA-256 counter definition.
+and Euler, the Elligator2 maps by their textbook formulas, XOR masking
+of key positions one byte at a time, and the seeded byte stream by its
+SHA-256 counter definition.
 """
 
 from __future__ import annotations
@@ -193,6 +194,15 @@ def map_from_curve_reference(u: c25519.Fe, v_is_negative: bool) -> c25519.Fe:
     if v_is_negative:
         return c25519.sqrt(-(u + Fe(A)) / (c25519.NON_SQUARE * u))
     return c25519.sqrt(-u / (c25519.NON_SQUARE * (u + Fe(A))))
+
+
+def xor_ranges_bytewise(blob, positions, klen: int) -> bytes:
+    """XOR of blob[pos:pos + klen] over all positions, byte by byte."""
+    out = bytearray(klen)
+    for pos in positions:
+        for i in range(klen):
+            out[i] ^= blob[pos + i]
+    return bytes(out)
 
 
 def seeded_stream(seed: bytes, n: int) -> bytes:

@@ -426,6 +426,20 @@ class TestDecodeFailures:
         with pytest.raises(DecodeError):
             decode(blob, Identity(pw, secret_key=kp.sk))
 
+    @pytest.mark.parametrize("case", ["str", "truncated", "k256-scalar"])
+    def test_error_chains_no_internal_exception(self, keypairs, case):
+        kp = keypairs["A"][0]
+        blob = encode([pk_recipient(kp)], b"chain", PadSpec.padme(), seeded_rng(29))
+        data, ident = {
+            "str": ("not a blob", pk_identity(kp)),
+            "truncated": (blob[:-1], pk_identity(kp)),
+            "k256-scalar": (blob, Identity(kp.suite, secret_key=K256_N.to_bytes(32, "big"))),
+        }[case]
+        with pytest.raises(DecodeError) as info:
+            decode(data, ident)
+        assert info.value.__context__ is None
+        assert info.value.__cause__ is None
+
     def test_hardened_mode_same_results(self, keypairs):
         kp, outsider = keypairs["B"][1], keypairs["B"][2]
         blob = encode([pk_recipient(kp)], b"hard", PadSpec.padme(), seeded_rng(24))

@@ -1,6 +1,8 @@
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     is_on_curve,
@@ -124,17 +126,43 @@ class TestSecp256k1Codec:
 
 class TestCurve25519Codec:
     def test_fast_map_agrees_with_reference(self):
+        # unhide computes u alone, so u is what the textbook map is held to.
+        # Count which branch the map takes: the first candidate
+        # w = -A / (1 + 2r^2) is kept when it is the u of a curve point.
         rng = seeded_rng(14)
+        branches = {True: 0, False: 0}
         for _ in range(80):
-            r = c25519.Fe(int.from_bytes(rng.randbytes(32), "little") & ((1 << 254) - 1))
-            assert c25519.map_to_curve(r) == map_to_curve_reference(r)
+            rep = rng.randbytes(32)
+            r = c25519.Fe(int.from_bytes(rep, "little") & ((1 << 254) - 1))
+            u = map_to_curve_reference(r)[0]
+            assert c25519.unhide(rep) == bytes(u)
+            w = -c25519.Fe(c25519.A) / (c25519.Fe(1) + c25519.NON_SQUARE * r**2)
+            branches[u == w] += 1
+        assert branches[True] and branches[False], branches
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(min_size=32, max_size=32))
+    @example(b"\x00" * 32)  # r = 0
+    @example(b"\xff" * 32)
+    def test_unhide_agrees_with_reference_on_any_input(self, rep):
+        r = c25519.Fe(int.from_bytes(rep, "little") & ((1 << 254) - 1))
+        assert c25519.unhide(rep) == bytes(map_to_curve_reference(r)[0])
+
+    def test_unhide_top_bit_patterns_agree_with_reference(self):
+        rng = seeded_rng(24)
+        for _ in range(8):
+            r = int.from_bytes(rng.randbytes(32), "little") & ((1 << 254) - 1)
+            want = bytes(map_to_curve_reference(c25519.Fe(r))[0])
+            for top in range(4):
+                rep = (r | top << 254).to_bytes(32, "little")
+                assert c25519.unhide(rep) == want, top
 
     def test_inverse_map_agrees_with_reference(self):
         rng = seeded_rng(15)
         done = 0
         while done < 60:
             r = c25519.Fe(int.from_bytes(rng.randbytes(32), "little") & ((1 << 254) - 1))
-            u, v = c25519.map_to_curve(r)
+            u, v = map_to_curve_reference(r)
             got = c25519.map_from_curve(u, v.is_negative())
             assert got == map_from_curve_reference(u, v.is_negative())
             assert got == abs(r)

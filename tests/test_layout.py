@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from helpers import permitted_length
+from helpers import permitted_length, xor_ranges_bytewise
+from purb.codec import Recipient, encode_detailed
 from purb.layout import HeaderLayout, in_range_positions, xor_encode, xor_extract
 from purb.padding import PadSpec
 from purb.rng import seeded_rng
@@ -321,6 +322,48 @@ class TestXorCoding:
             primary = candidates[rng.randbytes(1)[0] % len(candidates)]
             xor_encode(blob, suite, tau, primary)
             assert xor_extract(bytes(blob), suite) == tau
+
+    @pytest.mark.parametrize("kind", ["bytes", "bytearray", "memoryview"])
+    def test_extract_matches_byte_loop_on_real_blobs(self, registry, keypairs, kind):
+        # One recipient and a short header, so a suite's later key
+        # positions fall inside the payload.
+        wrap = {"bytes": bytes, "bytearray": bytearray, "memoryview": memoryview}[kind]
+        in_payload = 0
+        for suite in registry:
+            if suite.alias == "pw":
+                recipient = Recipient.password(suite, b"xor")
+            else:
+                pk = keypairs[suite.alias][0].pk_encoded
+                recipient = Recipient.public_key(suite, pk)
+            rng = seeded_rng(b"xor-" + suite.alias.encode())
+            blob, report = encode_detailed([recipient], bytes(400), PadSpec.padme(), rng)
+            positions = in_range_positions(suite, len(blob))
+            in_payload += sum(
+                report.payload_start <= p < report.payload_end for p in positions
+            )
+            want = xor_ranges_bytewise(blob, positions, suite.encoded_key_len)
+            assert want == report.suites[0]["tau"]
+            assert xor_extract(wrap(blob), suite) == want
+        assert in_payload >= 5  # D, E, F and pw reach into the payload
+
+    @pytest.mark.parametrize("kind", ["bytearray", "memoryview"])
+    def test_encode_matches_byte_loop(self, registry, kind):
+        rng = seeded_rng(26)
+        for suite in registry:
+            klen = suite.encoded_key_len
+            for primary in in_range_positions(suite, 400):
+                before = rng.randbytes(400)
+                tau = rng.randbytes(klen)
+                buf = bytearray(before)
+                target = buf if kind == "bytearray" else memoryview(buf)
+                xor_encode(target, suite, tau, primary)
+                others = [p for p in in_range_positions(suite, 400) if p != primary]
+                mask = xor_ranges_bytewise(before, others, klen)
+                assert bytes(buf[primary : primary + klen]) == bytes(
+                    x ^ y for x, y in zip(tau, mask)
+                )
+                assert buf[:primary] == before[:primary]
+                assert buf[primary + klen :] == before[primary + klen :]
 
     def test_extract_none_when_blob_too_short(self, registry):
         b = registry.by_alias("B")

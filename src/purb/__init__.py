@@ -16,7 +16,7 @@ from .codec import (
     encode,
     encode_detailed,
 )
-from .padding import PadSpec, leakage_bits, overhead, pad_len, padme_len
+from .padding import PadSpec, leakage_bits, overhead, padme_len
 from .rng import seeded_rng, system_rng
 from .suites import (
     KeyPair,
@@ -49,7 +49,6 @@ __all__ = [
     "keygen",
     "leakage_bits",
     "overhead",
-    "pad_len",
     "padme_len",
     "password_secret",
     "seeded_rng",

@@ -1,11 +1,10 @@
-"""Command-line tool: keygen, encode, decode, pad, analyze, bench."""
+"""Command-line tool: keygen, encode, decode, pad, analyze."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-import time
 
 from . import analyzer
 from .codec import (
@@ -27,14 +26,15 @@ from .suites import (
 )
 
 
-def _pad_spec(text: str) -> PadSpec:
-    return PadSpec.from_string(text)
+def _seed_rng(seed: bytes | None) -> RandomSource:
+    return system_rng() if seed is None else seeded_rng(seed)
 
 
-def _seed_rng(seed_hex: str | None) -> RandomSource:
-    if seed_hex is None:
-        return system_rng()
-    return seeded_rng(bytes.fromhex(seed_hex))
+def _length(text: str) -> int:
+    length = int(text)
+    if length < 0:
+        raise argparse.ArgumentTypeError("length must be >= 0")
+    return length
 
 
 def cmd_keygen(args) -> int:
@@ -187,71 +187,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    registry = default_registry()
-    rng = _seed_rng(args.seed)
-    suites = registry.public_key_suites()[: args.suites]
-    payload = b"\x00" * args.payload
-    rows = []
-    for r in args.recipients:
-        keypairs = []
-        recipients = []
-        for i in range(r):
-            suite = suites[i % len(suites)]
-            kp = keygen(suite, rng)
-            keypairs.append(kp)
-            recipients.append(Recipient.public_key(suite, kp.pk_encoded))
-        outsider = keygen(suites[0], rng)
-        for mode, flat in (("standard", False), ("flat", True)):
-            enc_ms = dec_ms = 0.0
-            stats = worst = report = None
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                blob, report = encode_detailed(
-                    recipients, payload, PadSpec.padme(), rng, flat=flat
-                )
-                t1 = time.perf_counter()
-                kp = keypairs[-1]  # last placed: the worst case in flat mode
-                payload_out, stats = decode(
-                    blob, Identity(kp.suite, secret_key=kp.sk), flat=flat
-                )
-                t2 = time.perf_counter()
-                assert payload_out == payload
-                enc_ms += (t1 - t0) * 1e3
-                dec_ms += (t2 - t1) * 1e3
-                try:
-                    decode(blob, Identity(suites[0], secret_key=outsider.sk), flat=flat)
-                except DecodeError as e:
-                    worst = e.stats
-            rows.append(
-                (
-                    r,
-                    len(suites),
-                    mode,
-                    enc_ms / args.repeat,
-                    dec_ms / args.repeat,
-                    stats.exp_count,
-                    stats.trial_count,
-                    worst.trial_count,
-                    report.compactness * 100,
-                )
-            )
-    print(
-        f"{'r':>6} {'suites':>6} {'mode':>8} {'enc_ms':>9} {'dec_ms':>9} "
-        f"{'exp':>4} {'trials':>6} {'worst':>6} {'compact%':>8}"
-    )
-    for row in rows:
-        print(
-            f"{row[0]:>6} {row[1]:>6} {row[2]:>8} {row[3]:>9.2f} {row[4]:>9.2f} "
-            f"{row[5]:>4} {row[6]:>6} {row[7]:>6} {row[8]:>8.1f}"
-        )
-    return 0
-
-
-def _recipient_counts(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="purb",
@@ -262,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="generate a key pair for a suite")
     p.add_argument("--suite", required=True, choices=list("ABCDEF"))
     p.add_argument("--out", required=True, help="output file prefix")
-    p.add_argument("--seed", help="hex seed; INSECURE, for tests only")
+    p.add_argument(
+        "--seed", type=bytes.fromhex, help="hex seed; INSECURE, for tests only"
+    )
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("encode", help="encrypt a file for a set of recipients")
@@ -271,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument(
         "--pad",
-        type=_pad_spec,
+        type=PadSpec.from_string,
         default=PadSpec.padme(),
         help="padme | next2 | block:<b> | none (default padme)",
     )
@@ -282,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="add N throwaway recipients of the first listed suite",
     )
-    p.add_argument("--seed", help="hex seed; INSECURE, for tests only")
+    p.add_argument(
+        "--seed", type=bytes.fromhex, help="hex seed; INSECURE, for tests only"
+    )
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decrypt a blob")
@@ -300,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("pad", help="compute a padded length")
-    p.add_argument("--len", dest="length", type=int, required=True)
-    p.add_argument("--spec", type=_pad_spec, default=PadSpec.padme())
+    p.add_argument("--len", dest="length", type=_length, required=True)
+    p.add_argument("--spec", type=PadSpec.from_string, default=PadSpec.padme())
     p.set_defaults(func=cmd_pad)
 
     p = sub.add_parser("analyze", help="size-anonymity report for a dataset")
@@ -309,22 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", help="read sizes from this CSV column")
     p.add_argument(
         "--specs",
-        type=_pad_spec,
+        type=PadSpec.from_string,
         nargs="+",
         default=[PadSpec.fixed_block(512), PadSpec.next_p2(), PadSpec.padme()],
     )
     p.add_argument("--csv", help="also write the report as CSV")
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("bench", help="encode/decode cost, standard vs flat layout")
-    p.add_argument(
-        "--recipients", type=_recipient_counts, default=[1, 10, 100], metavar="R1,R2"
-    )
-    p.add_argument("--suites", type=int, default=1)
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--payload", type=int, default=1024)
-    p.add_argument("--seed", help="hex seed; INSECURE, for tests only")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

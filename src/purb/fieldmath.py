@@ -1,19 +1,19 @@
-"""Modular arithmetic kernels for the point codecs.
+"""Modular arithmetic for the point codecs, on plain Python integers.
 
-Plain Python integers throughout.  Inversion is the built-in extended
-Euclid (`pow(a, -1, p)`) and the quadratic-residue test is a binary
-Jacobi symbol; both cost a fraction of the 256-bit exponentiation that
-Fermat and Euler would need.  Only public values reach these kernels:
-points and representatives, never a secret scalar.
+One function per operation, shared by both curves.  Inversion is the
+built-in extended Euclid (`pow(a, -1, p)`) and the quadratic-residue
+test is a binary Jacobi symbol; both cost a fraction of the 256-bit
+exponentiation that Fermat and Euler would need.  `sqrt` serves primes
+p = 3 mod 4 (secp256k1); Curve25519's p = 5 mod 8 only needs the
+inverse square root that its codec computes itself.  Only public values
+reach these kernels: points and representatives, never a secret scalar.
 """
 
 from __future__ import annotations
 
-powmod = pow
 
-
-def invert(a: int, mod: int) -> int:
-    return pow(a, -1, mod)
+def invert(a: int, p: int) -> int:
+    return pow(a, -1, p)
 
 
 def legendre(a: int, p: int) -> int:
@@ -35,6 +35,15 @@ def legendre(a: int, p: int) -> int:
     return t if p == 1 else 0
 
 
-def is_square_mod(a: int, p: int) -> bool:
+def is_square(a: int, p: int) -> bool:
     """Whether a is a quadratic residue modulo an odd prime p; 0 counts."""
     return legendre(a, p) != -1
+
+
+def sqrt(a: int, p: int) -> int:
+    """A square root of a modulo a prime p = 3 mod 4; ValueError on
+    non-squares."""
+    root = pow(a, (p + 1) // 4, p)
+    if (root * root - a) % p:
+        raise ValueError("not a square")
+    return root

@@ -110,10 +110,6 @@ class PadSpec:
         return length
 
 
-def pad_len(spec: PadSpec, length: int) -> int:
-    return spec.pad_len(length)
-
-
 def leakage_bits(spec: PadSpec, max_len: int) -> int:
     """Bits needed to tell apart the padded lengths of inputs 1..max_len.
 

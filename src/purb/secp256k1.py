@@ -1,10 +1,15 @@
-"""secp256k1 arithmetic and a 64-byte uniform point codec.
+"""secp256k1 constants and a 64-byte uniform point codec.
 
 The codec writes a point as a pair of field elements (u, v) with
 f(u) + f(v) = P, where f is the Shallue-van de Woestijne map.  Encoding
 draws random u until P - f(u) lands in the image of one of f's four
 inverse branches; every point encodes after a couple of tries, and every
 64-byte string decodes, so decoding is total.
+
+Field elements and affine points are plain ints and int pairs, worked
+with the `fieldmath` kernel.  Each hide attempt and each unhide does
+exactly one point addition, so there is no projective point library:
+`_add` is affine, with a single inversion.
 
 As with the Curve25519 codec, hide runs once per blob per suite (on the
 ephemeral key) and unhide once per recipient on encode and once per
@@ -14,7 +19,7 @@ native backend (see suites.py).
 
 from __future__ import annotations
 
-from .fieldmath import invert, is_square_mod, powmod
+from .fieldmath import invert, is_square, sqrt
 from .rng import RandomSource
 
 P = 2**256 - 2**32 - 977
@@ -23,204 +28,99 @@ B = 7
 GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
-
-class Fe:
-    """Field element modulo the secp256k1 prime."""
-
-    __slots__ = ("val",)
-
-    def __init__(self, x: int):
-        self.val = x % P
-
-    def __neg__(self):
-        return Fe(-self.val)
-
-    def __add__(self, o):
-        return Fe(self.val + o.val)
-
-    def __sub__(self, o):
-        return Fe(self.val - o.val)
-
-    def __mul__(self, o):
-        return Fe(self.val * o.val)
-
-    def __truediv__(self, o):
-        return Fe(self.val * invert(o.val, P))
-
-    def __pow__(self, s: int):
-        return Fe(powmod(self.val, s, P))
-
-    def __eq__(self, other):
-        return isinstance(other, Fe) and self.val == other.val
-
-    def __hash__(self):
-        return hash(self.val)
-
-    def is_odd(self) -> bool:
-        return self.val & 1 == 1
-
-    def is_square(self) -> bool:
-        return is_square_mod(self.val, P)
-
-    def sqrt(self) -> "Fe":
-        # p = 3 mod 4
-        root = powmod(self.val, (P + 1) // 4, P)
-        if root * root % P != self.val:
-            raise ValueError("not a square")
-        return Fe(root)
-
-    def to_bytes(self) -> bytes:
-        return self.val.to_bytes(32, "big")
-
-    def __repr__(self):
-        return f"Fe(0x{self.val:064x})"
-
-
-# Jacobian point arithmetic; None is the point at infinity.
-
 Point = tuple[int, int]
-Jac = tuple[int, int, int] | None
-
-
-def to_jac(pt: Point) -> Jac:
-    return (pt[0], pt[1], 1)
-
-
-def jac_double(q: Jac) -> Jac:
-    if q is None or q[1] == 0:
-        return None
-    x, y, z = q
-    s = 4 * x * y * y % P
-    m = 3 * x * x % P
-    nx = (m * m - 2 * s) % P
-    y2 = y * y % P
-    ny = (m * (s - nx) - 8 * y2 * y2) % P
-    nz = 2 * y * z % P
-    return (nx, ny, nz)
-
-
-def jac_add(q1: Jac, q2: Jac) -> Jac:
-    if q1 is None:
-        return q2
-    if q2 is None:
-        return q1
-    x1, y1, z1 = q1
-    x2, y2, z2 = q2
-    z1s, z2s = z1 * z1 % P, z2 * z2 % P
-    u1, u2 = x1 * z2s % P, x2 * z1s % P
-    s1, s2 = y1 * z2s * z2 % P, y2 * z1s * z1 % P
-    if u1 == u2:
-        if s1 != s2:
-            return None
-        return jac_double(q1)
-    h = (u2 - u1) % P
-    r = (s2 - s1) % P
-    h2 = h * h % P
-    h3 = h2 * h % P
-    u1h2 = u1 * h2 % P
-    nx = (r * r - h3 - 2 * u1h2) % P
-    ny = (r * (u1h2 - nx) - s1 * h3) % P
-    nz = h * z1 * z2 % P
-    return (nx, ny, nz)
-
-
-def jac_neg(q: Jac) -> Jac:
-    if q is None:
-        return None
-    return (q[0], (-q[1]) % P, q[2])
-
-
-def jac_affine(q: Jac) -> Point:
-    if q is None:
-        raise ValueError("point at infinity has no affine form")
-    x, y, z = q
-    zi = invert(z, P)
-    zi2 = zi * zi % P
-    return (x * zi2 % P, y * zi2 * zi % P)
-
 
 # Shallue-van de Woestijne map constants.
-C1 = Fe(-3).sqrt()
-C2 = (C1 - Fe(1)) / Fe(2)
-FB = Fe(B)
+C1 = sqrt(-3, P)
+C2 = (C1 - 1) * invert(2, P) % P
 
 
-def forward_map(u: Fe) -> tuple[Fe, Fe]:
-    """Field element to curve point; total.
+def _add(p1: Point, p2: Point) -> Point | None:
+    """p1 + p2 with one inversion; None for p1 + (-p1), the point at
+    infinity.  Equal points double."""
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2:
+        if (y1 + y2) % P == 0:
+            return None
+        lam = 3 * x1 * x1 * invert(2 * y1, P) % P
+    else:
+        lam = (y2 - y1) * invert(x2 - x1, P) % P
+    x3 = (lam * lam - x1 - x2) % P
+    return x3, (lam * (x1 - x3) - y1) % P
+
+
+def forward_map(u: int) -> Point:
+    """Field element in [0, P) to curve point; total.
 
     The three candidate x-values satisfy an identity forcing at least one
     of them onto the curve whenever the formulas are defined; the two
     degenerate denominators fall back to the base point.
     """
-    s = u**2
-    den = Fe(1) + FB + s
-    if den == Fe(0):
-        return (Fe(GX), Fe(GY))
-    x1 = C2 - C1 * s / den
-    g1 = x1**3 + FB
-    if g1.is_square():
-        x, g = x1, g1
-    else:
-        x2 = -x1 - Fe(1)
-        g2 = x2**3 + FB
-        if g2.is_square():
-            x, g = x2, g2
-        elif s == Fe(0):
-            return (Fe(GX), Fe(GY))
-        else:
-            x3 = Fe(1) - den**2 / (Fe(3) * s)
-            x, g = x3, x3**3 + FB
-    y = g.sqrt()
-    if y.is_odd() != u.is_odd():
-        y = -y
+    s = u * u % P
+    den = (1 + B + s) % P
+    if den == 0:
+        return GX, GY
+    x = (C2 - C1 * s * invert(den, P)) % P
+    g = (x * x * x + B) % P
+    if not is_square(g, P):
+        x = (-x - 1) % P
+        g = (x * x * x + B) % P
+        if not is_square(g, P):
+            if s == 0:
+                return GX, GY
+            x = (1 - den * den * invert(3 * s, P)) % P
+            g = (x * x * x + B) % P
+    y = sqrt(g, P)
+    if y & 1 != u & 1:
+        y = -y % P
     return x, y
 
 
-def reverse_map(x: Fe, y: Fe, i: int) -> Fe | None:
+def reverse_map(x: int, y: int, i: int) -> int | None:
     """One of up to four preimages of (x, y) under forward_map.
 
     Branch i in [0, 4); branches independently return None, all non-None
     results are distinct, and together they cover every preimage.
     """
     if i == 0 or i == 1:
-        z = Fe(2) * x + Fe(1)
-        t1 = C1 - z
-        t2 = C1 + z
-        if not (t1 * t2).is_square():
+        z = 2 * x + 1
+        t1 = (C1 - z) % P
+        t2 = (C1 + z) % P
+        if not is_square(t1 * t2, P):
             return None
         if i == 0:
-            if t2 == Fe(0):
+            if t2 == 0:
                 return None
-            if t1 == Fe(0) and y.is_odd():
+            if t1 == 0 and y & 1:
                 return None
-            u = ((Fe(1) + FB) * t1 / t2).sqrt()
+            u = sqrt((1 + B) * t1 * invert(t2, P), P)
         else:
-            x1 = -x - Fe(1)
-            if (x1**3 + FB).is_square():
+            x1 = -x - 1
+            if is_square(x1 * x1 * x1 + B, P):
                 return None
-            u = ((Fe(1) + FB) * t2 / t1).sqrt()
+            u = sqrt((1 + B) * t2 * invert(t1, P), P)
     else:
-        z = Fe(2) - Fe(4) * FB - Fe(6) * x
-        disc = z**2 - Fe(16) * (FB + Fe(1)) ** 2
-        if not disc.is_square():
+        z = (2 - 4 * B - 6 * x) % P
+        disc = (z * z - 16 * (B + 1) ** 2) % P
+        if not is_square(disc, P):
             return None
         if i == 2:
-            s = (z + disc.sqrt()) / Fe(4)
+            s = (z + sqrt(disc, P)) * invert(4, P) % P
         else:
-            if disc == Fe(0):
+            if disc == 0:
                 return None
-            s = (z - disc.sqrt()) / Fe(4)
-        if not s.is_square():
+            s = (z - sqrt(disc, P)) * invert(4, P) % P
+        if not is_square(s, P):
             return None
-        den = Fe(1) + FB + s
-        if den == Fe(0):
+        den = (1 + B + s) % P
+        if den == 0:
             return None
-        x1 = C2 - C1 * s / den
-        if (x1**3 + FB).is_square():
+        x1 = (C2 - C1 * s * invert(den, P)) % P
+        if is_square(x1 * x1 * x1 + B, P):
             return None
-        u = s.sqrt()
-    if y.is_odd() != u.is_odd():
-        u = -u
+        u = sqrt(s, P)
+    if y & 1 != u & 1:
+        u = -u % P
     return u
 
 
@@ -229,36 +129,28 @@ ENCODED_LEN = 64
 
 def hide(point: Point, rng: RandomSource) -> bytes:
     """Encode a point as 64 uniform bytes; succeeds for every point."""
-    target = to_jac(point)
     while True:
-        u_int = int.from_bytes(rng.randbytes(32), "big")
-        if u_int >= P:
+        u = int.from_bytes(rng.randbytes(32), "big")
+        if u >= P:
             continue
         branch = rng.randbytes(1)[0] & 3
-        u = Fe(u_int)
-        t = jac_neg(to_jac(_fe_point(forward_map(u))))
-        q = jac_add(t, target)
+        fx, fy = forward_map(u)
+        t = (fx, -fy % P)
+        q = _add(t, point)
         if q is None:
             q = t  # f(u) = P exactly; decode's infinity rule mirrors this
-        qa = jac_affine(q)
-        v = reverse_map(Fe(qa[0]), Fe(qa[1]), branch)
+        v = reverse_map(*q, branch)
         if v is not None:
-            return u.to_bytes() + v.to_bytes()
+            return u.to_bytes(32, "big") + v.to_bytes(32, "big")
 
 
 def unhide(rep: bytes) -> Point:
     """Decode 64 bytes to a curve point; total, never fails."""
     if len(rep) != ENCODED_LEN:
         raise ValueError("representative must be 64 bytes")
-    u = Fe(int.from_bytes(rep[:32], "big"))
-    v = Fe(int.from_bytes(rep[32:], "big"))
-    t = to_jac(_fe_point(forward_map(u)))
-    s = to_jac(_fe_point(forward_map(v)))
-    q = jac_add(t, s)
+    t = forward_map(int.from_bytes(rep[:32], "big") % P)
+    s = forward_map(int.from_bytes(rep[32:], "big") % P)
+    q = _add(t, s)
     if q is None:
         q = t
-    return jac_affine(q)
-
-
-def _fe_point(pt: tuple[Fe, Fe]) -> Point:
-    return (pt[0].val, pt[1].val)
+    return q

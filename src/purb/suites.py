@@ -1,10 +1,11 @@
 """Cipher suites: groups, point-hiding codecs, AEADs, hashes, positions.
 
 A suite fixes everything one header layer needs: the group and its
-uniform point codec, the entry-point AEAD, the two hash roles (shared
-secret to key material, and labeled derivations), and the public list of
-byte offsets where the suite's encoded key may live in a blob.  The
-default registry is immutable and safe to share.
+uniform point codec, the entry-point AEAD, the two hash roles (SHA-256
+under two prefixes: shared secret to key material, and labeled
+derivations), and the public list of byte offsets where the suite's
+encoded key may live in a blob.  The default registry is immutable and
+safe to share.
 """
 
 from __future__ import annotations
@@ -108,11 +109,6 @@ EP_AEADS = {
     "chacha20poly1305": (ChaCha20Poly1305, 32, 16),
 }
 
-HASHES = {
-    "sha256": hashlib.sha256,
-}
-
-
 @dataclass(frozen=True)
 class KdfParams:
     """scrypt cost parameters; public constants of the password suite."""
@@ -132,8 +128,6 @@ class SuiteSpec:
     encoded_key_len: int
     ep_aead_id: str
     ep_tag_len: int
-    hash_kem_id: str
-    hash_derive_id: str
     allowed_positions: tuple[int, ...]
     group: Curve25519Group | Secp256k1Group | None = None
     kdf_params: KdfParams | None = field(default=None)
@@ -168,10 +162,10 @@ class SuiteSpec:
         return EP_AEADS[self.ep_aead_id]
 
     def kem_hash(self, shared: bytes) -> bytes:
-        return HASHES[self.hash_kem_id](_KEM_PREFIX + shared).digest()
+        return hashlib.sha256(_KEM_PREFIX + shared).digest()
 
     def derive_hash(self, data: bytes) -> bytes:
-        return HASHES[self.hash_derive_id](_DERIVE_PREFIX + data).digest()
+        return hashlib.sha256(_DERIVE_PREFIX + data).digest()
 
 
 @dataclass(frozen=True)
@@ -214,9 +208,6 @@ class Registry:
     def by_id(self, suite_id: int) -> SuiteSpec:
         return self._by_id[suite_id]
 
-    def public_key_suites(self) -> tuple[SuiteSpec, ...]:
-        return tuple(s for s in self._suites if s.kind == PUBLIC_KEY)
-
 
 _K256 = Secp256k1Group()
 _X25519 = Curve25519Group()
@@ -232,8 +223,6 @@ def _pk_suite(suite_id, alias, order, group, aead, positions):
         encoded_key_len=group.encoded_len,
         ep_aead_id=aead,
         ep_tag_len=EP_AEADS[aead][2],
-        hash_kem_id="sha256",
-        hash_derive_id="sha256",
         allowed_positions=positions,
         group=group,
     )
@@ -256,8 +245,6 @@ _DEFAULT = Registry(
             encoded_key_len=32,
             ep_aead_id="chacha20poly1305",
             ep_tag_len=16,
-            hash_kem_id="sha256",
-            hash_derive_id="sha256",
             # 288 is beyond every other suite's position ranges, so a salt
             # can always be placed no matter which suites share the blob.
             allowed_positions=(0, 32, 288),

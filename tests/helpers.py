@@ -14,8 +14,6 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
-from purb import curve25519 as c25519
-
 
 def permitted_length(n: int) -> bool:
     """A length is permitted when, written as 1.m * 2^e, the mantissa m
@@ -114,10 +112,6 @@ def x25519_oracle(scalar: bytes, point: bytes) -> bytes:
 # Field kernels by Fermat and Euler: one full exponentiation each.
 
 
-def powmod_pure(base: int, exp: int, mod: int) -> int:
-    return pow(base, exp, mod)
-
-
 def invert_pure(a: int, mod: int) -> int:
     return pow(a, mod - 2, mod)
 
@@ -172,28 +166,43 @@ def is_on_curve(pt: tuple[int, int]) -> bool:
 
 # Textbook Elligator2 on Curve25519, for cross-checking the fast maps.
 
-
-def chi(n: c25519.Fe) -> c25519.Fe:
-    """Legendre symbol as a field element: 0, 1, or -1."""
-    return n ** ((c25519.P - 1) // 2)
+_A25519 = 486662
 
 
-def map_to_curve_reference(r: c25519.Fe) -> tuple[c25519.Fe, c25519.Fe]:
-    Fe, A = c25519.Fe, c25519.A
-    w = -Fe(A) / (Fe(1) + c25519.NON_SQUARE * r**2)
-    e = chi(w**3 + Fe(A) * w**2 + w)
-    u = e * w - (Fe(1) - e) * Fe(A // 2)
-    v = -e * c25519.sqrt(u**3 + Fe(A) * u**2 + u)
+def chi(n: int) -> int:
+    """Legendre symbol of n modulo 2^255 - 19: 0, 1, or -1."""
+    return legendre_pure(n, _P25519)
+
+
+def sqrt25519(n: int) -> int:
+    """Non-negative square root modulo 2^255 - 19 (at most (p - 1) / 2);
+    raises ValueError on non-squares.  Since p = 5 mod 8, a candidate
+    n^((p+3)/8) is off by at most a factor sqrt(-1) = 2^((p-1)/4)."""
+    p = _P25519
+    if chi(n) == -1:
+        raise ValueError("not a square")
+    root = pow(n, (p + 3) // 8, p)
+    if (root * root - n) % p:
+        root = root * pow(2, (p - 1) // 4, p) % p
+    return min(root, p - root)
+
+
+def map_to_curve_reference(r: int) -> tuple[int, int]:
+    p, a = _P25519, _A25519
+    w = -a * invert_pure(1 + 2 * r * r, p) % p
+    e = chi(w**3 + a * w * w + w)
+    u = (e * w - (1 - e) * (a // 2)) % p
+    v = -e * sqrt25519(u**3 + a * u * u + u) % p
     return u, v
 
 
-def map_from_curve_reference(u: c25519.Fe, v_is_negative: bool) -> c25519.Fe:
-    Fe, A = c25519.Fe, c25519.A
-    if not c25519.can_map_from_curve(u):
+def map_from_curve_reference(u: int, v_is_negative: bool) -> int:
+    p, a = _P25519, _A25519
+    if u == p - a or chi(-2 * u * (u + a)) == -1:
         raise ValueError("point has no representative")
     if v_is_negative:
-        return c25519.sqrt(-(u + Fe(A)) / (c25519.NON_SQUARE * u))
-    return c25519.sqrt(-u / (c25519.NON_SQUARE * (u + Fe(A))))
+        return sqrt25519(-(u + a) * invert_pure(2 * u, p))
+    return sqrt25519(-u * invert_pure(2 * (u + a), p))
 
 
 def xor_ranges_bytewise(blob, positions, klen: int) -> bytes:

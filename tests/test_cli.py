@@ -40,6 +40,11 @@ class TestKeygen:
             run("keygen", "--suite", "Z", "--out", str(tmp_path / "k"))
         assert info.value.code == 2
 
+    def test_bad_seed_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run("keygen", "--suite", "B", "--out", tmp_path / "k", "--seed", "zz")
+        assert info.value.code == 2
+
     def test_unwritable_path(self, tmp_path, capsys):
         assert run("keygen", "--suite", "B", "--out", str(tmp_path / "no" / "k")) == 2
 
@@ -138,6 +143,17 @@ class TestEncodeDecode:
         assert run("encode", "--to", rcpt, "--in", msg, "--out", b2, "--seed", "0123") == 0
         assert b1.read_bytes() == b2.read_bytes()
 
+    def test_bad_seed_usage_error(self, tmp_path, keyfiles):
+        sk_path, pk_path = keyfiles
+        rcpt = tmp_path / "r.json"
+        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": open(pk_path).read().strip()}]))
+        msg = tmp_path / "m"
+        msg.write_bytes(b"x")
+        with pytest.raises(SystemExit) as info:
+            run("encode", "--to", rcpt, "--in", msg, "--out", tmp_path / "o", "--seed", "zz")
+        assert info.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_try_all(self, tmp_path, keyfiles, capsys):
         sk_path, pk_path = keyfiles
         rcpt = tmp_path / "r.json"
@@ -196,6 +212,16 @@ class TestPadCommand:
         assert run("pad", "--len", "9") == 0
         assert "+11.11%" in capsys.readouterr().out
 
+    def test_zero_length(self, capsys):
+        assert run("pad", "--len", "0") == 0
+        assert capsys.readouterr().out.split()[0] == "0"
+
+    def test_negative_length_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("pad", "--len", "-1")
+        assert info.value.code == 2
+        assert "length must be >= 0" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_table_and_csv(self, tmp_path, capsys):
@@ -215,30 +241,3 @@ class TestAnalyzeCommand:
         sizes = tmp_path / "sizes.txt"
         sizes.write_text("12\nnope\n")
         assert run("analyze", "--sizes", sizes) == 2
-
-
-class TestBenchCommand:
-    def test_small_run(self, capsys):
-        assert run(
-            "bench", "--recipients", "1,8", "--suites", "1", "--repeat", "1",
-            "--payload", "256", "--seed", "dd",
-        ) == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.splitlines() if l.strip()]
-        assert len(lines) == 1 + 2 * 2  # header + (standard, flat) per r
-        assert "standard" in out and "flat" in out
-
-    def test_flat_worst_case_linear(self, capsys):
-        assert run(
-            "bench", "--recipients", "16", "--suites", "1", "--repeat", "1",
-            "--payload", "64", "--seed", "ee",
-        ) == 0
-        out = capsys.readouterr().out
-        rows = {}
-        for line in out.splitlines()[1:]:
-            cols = line.split()
-            rows[cols[2]] = cols
-        worst_flat = int(rows["flat"][7])
-        worst_std = int(rows["standard"][7])
-        assert worst_flat >= 16
-        assert worst_std <= 16 .bit_length() + 4

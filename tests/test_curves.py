@@ -5,10 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _k256_add,
     is_on_curve,
     map_from_curve_reference,
     map_to_curve_reference,
     scalar_mult,
+    seeded_stream,
     x25519_oracle,
 )
 from purb import curve25519 as c25519
@@ -76,13 +78,12 @@ class TestSecp256k1Codec:
     @pytest.mark.parametrize("x,y,preimages", K256_MAP_VECTORS)
     def test_reverse_map_vectors(self, x, y, preimages):
         for branch, want in enumerate(preimages):
-            got = k256.reverse_map(k256.Fe(x), k256.Fe(y), branch)
+            got = k256.reverse_map(x, y, branch)
             if want is None:
                 assert got is None
             else:
-                assert got == k256.Fe(want)
-                fx, fy = k256.forward_map(got)
-                assert (fx.val, fy.val) == (x, y)
+                assert got == want
+                assert k256.forward_map(got) == (x, y)
 
     @pytest.mark.parametrize("rep_hex,x,parity", K256_DECODE_VECTORS)
     def test_decode_vectors(self, rep_hex, x, parity):
@@ -91,20 +92,20 @@ class TestSecp256k1Codec:
         assert py & 1 == parity
 
     def test_forward_map_total_at_zero(self):
-        assert is_on_curve(k256._fe_point(k256.forward_map(k256.Fe(0))))
+        assert is_on_curve(k256.forward_map(0))
 
     def test_preimage_uniqueness(self):
         rng = seeded_rng(12)
         for _ in range(30):
-            u = k256.Fe(int.from_bytes(rng.randbytes(32), "big"))
+            u = int.from_bytes(rng.randbytes(32), "big") % k256.P
             x, y = k256.forward_map(u)
-            assert is_on_curve((x.val, y.val))
+            assert is_on_curve((x, y))
             hits = [
                 v
                 for v in (k256.reverse_map(x, y, j) for j in range(4))
                 if v is not None
             ]
-            assert len(set(v.val for v in hits)) == len(hits)
+            assert len(set(hits)) == len(hits)
             assert sum(v == u for v in hits) == 1
 
     def test_hide_unhide_roundtrip(self):
@@ -114,6 +115,44 @@ class TestSecp256k1Codec:
             rep = k256.hide(pt, rng)
             assert len(rep) == 64
             assert k256.unhide(rep) == pt
+
+    def test_unhide_opposite_pair_returns_first_point(self):
+        # f(P - u) = -f(u), so u || (P - u) sums to the point at infinity,
+        # and decode's infinity rule returns f(u).
+        rng = seeded_rng(25)
+        for _ in range(10):
+            u = int.from_bytes(rng.randbytes(32), "big") % k256.P
+            t = k256.forward_map(u)
+            assert _k256_add(t, k256.forward_map(k256.P - u)) is None
+            rep = u.to_bytes(32, "big") + (k256.P - u).to_bytes(32, "big")
+            assert k256.unhide(rep) == t
+            assert is_on_curve(t)
+
+    def test_unhide_equal_pair_doubles(self):
+        rng = seeded_rng(26)
+        for _ in range(10):
+            u = int.from_bytes(rng.randbytes(32), "big") % k256.P
+            t = k256.forward_map(u)
+            got = k256.unhide(u.to_bytes(32, "big") * 2)
+            assert got == _k256_add(t, t)
+            assert is_on_curve(got)
+
+    def test_hide_when_first_draw_maps_to_target(self):
+        # The target is f(u) for hide's own first draw u, so that attempt
+        # adds -f(u) + f(u) and takes the infinity rule.
+        first_draw_kept = 0
+        for seed in range(8):
+            head = seeded_stream(seed.to_bytes(8, "big"), 32)
+            u = int.from_bytes(head, "big")
+            assert u < k256.P
+            target = k256.forward_map(u)
+            rep = k256.hide(target, seeded_rng(seed))
+            assert k256.unhide(rep) == target
+            if rep[:32] == head:
+                v = int.from_bytes(rep[32:], "big")
+                assert _k256_add(target, k256.forward_map(v)) is None
+                first_draw_kept += 1
+        assert first_draw_kept
 
     def test_unhide_total(self):
         for data in (b"\x00" * 64, b"\xff" * 64, os.urandom(64)):
@@ -133,10 +172,10 @@ class TestCurve25519Codec:
         branches = {True: 0, False: 0}
         for _ in range(80):
             rep = rng.randbytes(32)
-            r = c25519.Fe(int.from_bytes(rep, "little") & ((1 << 254) - 1))
+            r = int.from_bytes(rep, "little") & ((1 << 254) - 1)
             u = map_to_curve_reference(r)[0]
-            assert c25519.unhide(rep) == bytes(u)
-            w = -c25519.Fe(c25519.A) / (c25519.Fe(1) + c25519.NON_SQUARE * r**2)
+            assert c25519.unhide(rep) == u.to_bytes(32, "little")
+            w = -c25519.A * pow(1 + 2 * r * r, -1, c25519.P) % c25519.P
             branches[u == w] += 1
         assert branches[True] and branches[False], branches
 
@@ -145,14 +184,14 @@ class TestCurve25519Codec:
     @example(b"\x00" * 32)  # r = 0
     @example(b"\xff" * 32)
     def test_unhide_agrees_with_reference_on_any_input(self, rep):
-        r = c25519.Fe(int.from_bytes(rep, "little") & ((1 << 254) - 1))
-        assert c25519.unhide(rep) == bytes(map_to_curve_reference(r)[0])
+        r = int.from_bytes(rep, "little") & ((1 << 254) - 1)
+        assert c25519.unhide(rep) == map_to_curve_reference(r)[0].to_bytes(32, "little")
 
     def test_unhide_top_bit_patterns_agree_with_reference(self):
         rng = seeded_rng(24)
         for _ in range(8):
             r = int.from_bytes(rng.randbytes(32), "little") & ((1 << 254) - 1)
-            want = bytes(map_to_curve_reference(c25519.Fe(r))[0])
+            want = map_to_curve_reference(r)[0].to_bytes(32, "little")
             for top in range(4):
                 rep = (r | top << 254).to_bytes(32, "little")
                 assert c25519.unhide(rep) == want, top
@@ -161,11 +200,12 @@ class TestCurve25519Codec:
         rng = seeded_rng(15)
         done = 0
         while done < 60:
-            r = c25519.Fe(int.from_bytes(rng.randbytes(32), "little") & ((1 << 254) - 1))
+            r = int.from_bytes(rng.randbytes(32), "little") & ((1 << 254) - 1)
             u, v = map_to_curve_reference(r)
-            got = c25519.map_from_curve(u, v.is_negative())
-            assert got == map_from_curve_reference(u, v.is_negative())
-            assert got == abs(r)
+            v_is_negative = v > (c25519.P - 1) // 2
+            got = c25519.map_from_curve(u, v_is_negative)
+            assert got == map_from_curve_reference(u, v_is_negative)
+            assert got == min(r, c25519.P - r)
             done += 1
 
     def test_hide_unhide_roundtrip(self):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import invert_pure, legendre_pure, powmod_pure
+from helpers import invert_pure, legendre_pure
 from purb import fieldmath
 from purb.rng import seeded_rng
 
@@ -15,21 +15,34 @@ def test_accelerated_matches_pure():
     for p in (P1, P2):
         for _ in range(25):
             a = int.from_bytes(rng.randbytes(32), "big") % p or 1
-            e = int.from_bytes(rng.randbytes(8), "big")
-            assert fieldmath.powmod(a, e, p) == powmod_pure(a, e, p)
             assert fieldmath.invert(a, p) == invert_pure(a, p)
             assert fieldmath.legendre(a, p) == legendre_pure(a, p)
 
 
 def test_zero_is_square():
-    assert fieldmath.is_square_mod(0, P1)
-    assert fieldmath.is_square_mod(P2, P2)
+    assert fieldmath.is_square(0, P1)
+    assert fieldmath.is_square(P2, P2)
 
 
 def test_invert_identity():
     for p in (P1, P2):
         for a in (2, 3, 12345, p - 1):
             assert fieldmath.invert(a, p) * a % p == 1
+
+
+def test_sqrt_for_p_3_mod_4():
+    rng = seeded_rng(52)
+    for a in [0, 1, 4, P2 - 1] + [
+        int.from_bytes(rng.randbytes(32), "big") % P2 for _ in range(40)
+    ]:
+        if legendre_pure(a, P2) == -1:
+            with pytest.raises(ValueError):
+                fieldmath.sqrt(a, P2)
+        else:
+            root = fieldmath.sqrt(a, P2)
+            assert 0 <= root < P2
+            assert root * root % P2 == a % P2
+    assert fieldmath.sqrt(-3, P2) ** 2 % P2 == P2 - 3
 
 
 @pytest.mark.parametrize("p", [P1, P2])
@@ -57,8 +70,8 @@ class TestJacobiEdgeCases:
             assert fieldmath.legendre(a, p) == fieldmath.legendre(b, p) == -1
             assert fieldmath.legendre(a * b, p) == 1
             assert fieldmath.legendre(a * b % p, p) == 1
-            assert not fieldmath.is_square_mod(a, p)
-            assert fieldmath.is_square_mod(a * b, p)
+            assert not fieldmath.is_square(a, p)
+            assert fieldmath.is_square(a * b, p)
 
 
 @settings(max_examples=300, deadline=None)

@@ -46,7 +46,6 @@ class TestReservePubkeys:
                 suite_id=suite_id, alias=alias, name=alias, order_index=order,
                 kind="password", encoded_key_len=32,
                 ep_aead_id="chacha20poly1305", ep_tag_len=16,
-                hash_kem_id="sha256", hash_derive_id="sha256",
                 allowed_positions=(0,), kdf_params=KdfParams(),
             )
 

@@ -10,7 +10,6 @@ from purb.padding import (
     PadSpec,
     leakage_bits,
     overhead,
-    pad_len,
     padme_len,
     padme_params,
 )
@@ -175,4 +174,4 @@ class TestOverhead:
 
 
 def test_pad_len_function_delegates():
-    assert pad_len(PadSpec.padme(), 9) == 10
+    assert PadSpec.padme().pad_len(9) == 10

@@ -50,6 +50,13 @@ def cmd_keygen(args) -> int:
     return 0
 
 
+def _string_field(entry: dict, i: int, name: str) -> str:
+    value = entry.get(name)
+    if not isinstance(value, str):
+        raise ValueError(f"recipient {i}: {name!r} must be a string")
+    return value
+
+
 def _load_recipients(path: str, registry) -> list[Recipient]:
     with open(path, "r", encoding="utf-8") as f:
         entries = json.load(f)
@@ -57,18 +64,19 @@ def _load_recipients(path: str, registry) -> list[Recipient]:
         raise ValueError("recipient file must be a non-empty JSON array")
     recipients = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"recipient {i}: not a JSON object")
+        alias = _string_field(entry, i, "suite")
         try:
-            suite = registry.by_alias(entry["suite"])
+            suite = registry.by_alias(alias)
         except KeyError:
-            raise ValueError(f"recipient {i}: unknown suite {entry.get('suite')!r}")
+            raise ValueError(f"recipient {i}: unknown suite {alias!r}")
         if suite.kind == PASSWORD:
-            recipients.append(
-                Recipient.password(suite, entry["passphrase"].encode())
-            )
+            passphrase = _string_field(entry, i, "passphrase").encode()
+            recipients.append(Recipient.password(suite, passphrase))
         else:
-            recipients.append(
-                Recipient.public_key(suite, bytes.fromhex(entry["pubkey"]))
-            )
+            pubkey = bytes.fromhex(_string_field(entry, i, "pubkey"))
+            recipients.append(Recipient.public_key(suite, pubkey))
     return recipients
 
 
@@ -214,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--dummy",
-        type=int,
+        type=_length,
         default=0,
         metavar="N",
         help="add N throwaway recipients of the first listed suite",

@@ -47,8 +47,8 @@ def map_from_curve(u: int, v_is_negative: bool) -> int:
     """Curve point back to its 254-bit representative, the non-negative
     one of the pair r, -r (at most (p - 1) / 2).
 
-    Fails (ValueError) for the unmappable half of the curve; key
-    generation filters those out up front with can_hide().
+    Fails (ValueError) for the unmappable half of the curve; hide tests
+    can_map_from_curve() first and returns None for those points.
     """
     t = (u + A) % P
     isr, square = invsqrt(-NON_SQUARE * u * t % P)
@@ -68,11 +68,6 @@ def can_map_from_curve(u: int) -> bool:
 
 ENCODED_LEN = 32
 _HIGH_MASK = (1 << 254) - 1
-
-
-def can_hide(point: bytes) -> bool:
-    """Whether a u-coordinate (32 bytes little-endian) is encodable."""
-    return can_map_from_curve(int.from_bytes(point, "little") % P)
 
 
 def hide(point: bytes, rng: RandomSource) -> bytes | None:

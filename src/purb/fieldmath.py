@@ -4,9 +4,11 @@ One function per operation, shared by both curves.  Inversion is the
 built-in extended Euclid (`pow(a, -1, p)`) and the quadratic-residue
 test is a binary Jacobi symbol; both cost a fraction of the 256-bit
 exponentiation that Fermat and Euler would need.  `sqrt` serves primes
-p = 3 mod 4 (secp256k1); Curve25519's p = 5 mod 8 only needs the
-inverse square root that its codec computes itself.  Only public values
-reach these kernels: points and representatives, never a secret scalar.
+p = 3 mod 4: secp256k1's `reverse_map` and map constant, while the
+forward map lifts x to a point by SEC1 decompression in OpenSSL.
+Curve25519's p = 5 mod 8 only needs the inverse square root that its
+codec computes itself.  Only public values reach these kernels: points
+and representatives, never a secret scalar.
 """
 
 from __future__ import annotations

@@ -6,10 +6,13 @@ draws random u until P - f(u) lands in the image of one of f's four
 inverse branches; every point encodes after a couple of tries, and every
 64-byte string decodes, so decoding is total.
 
-Field elements and affine points are plain ints and int pairs, worked
-with the `fieldmath` kernel.  Each hide attempt and each unhide does
-exactly one point addition, so there is no projective point library:
-`_add` is affine, with a single inversion.
+Field elements and affine points are plain ints and int pairs.  The
+forward map's curve lift, from a candidate x to the y of the parity it
+needs, is SEC1 point decompression in OpenSSL; `fieldmath` serves
+`reverse_map`, whose roots are of values that are not of the form
+x^3 + 7.  Each hide attempt and each unhide does exactly one point
+addition, so there is no projective point library: `_add` is affine,
+with a single inversion.
 
 As with the Curve25519 codec, hide runs once per blob per suite (on the
 ephemeral key) and unhide once per recipient on encode and once per
@@ -18,6 +21,8 @@ native backend (see suites.py).
 """
 
 from __future__ import annotations
+
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from .fieldmath import invert, is_square, sqrt
 from .rng import RandomSource
@@ -34,6 +39,8 @@ Point = tuple[int, int]
 C1 = sqrt(-3, P)
 C2 = (C1 - 1) * invert(2, P) % P
 
+_CURVE = ec.SECP256K1()
+
 
 def _add(p1: Point, p2: Point) -> Point | None:
     """p1 + p2 with one inversion; None for p1 + (-p1), the point at
@@ -49,30 +56,38 @@ def _add(p1: Point, p2: Point) -> Point | None:
     return x3, (lam * (x1 - x3) - y1) % P
 
 
+def _lift(x: int, prefix: bytes) -> int | None:
+    """The y of the parity the SEC1 prefix names, or None when x is not
+    the x of a curve point."""
+    try:
+        key = ec.EllipticCurvePublicKey.from_encoded_point(
+            _CURVE, prefix + x.to_bytes(32, "big")
+        )
+    except ValueError:
+        return None
+    return key.public_numbers().y
+
+
 def forward_map(u: int) -> Point:
     """Field element in [0, P) to curve point; total.
 
     The three candidate x-values satisfy an identity forcing at least one
-    of them onto the curve whenever the formulas are defined; the two
-    degenerate denominators fall back to the base point.
+    of them onto the curve.  The denominator 1 + B + s never vanishes,
+    since -8 is a non-square mod P; the third candidate's 3s does at
+    u = 0, but there the first candidate is on the curve.  y takes the
+    parity of u.
     """
     s = u * u % P
     den = (1 + B + s) % P
-    if den == 0:
-        return GX, GY
+    prefix = bytes([2 | (u & 1)])
     x = (C2 - C1 * s * invert(den, P)) % P
-    g = (x * x * x + B) % P
-    if not is_square(g, P):
+    y = _lift(x, prefix)
+    if y is None:
         x = (-x - 1) % P
-        g = (x * x * x + B) % P
-        if not is_square(g, P):
-            if s == 0:
-                return GX, GY
+        y = _lift(x, prefix)
+        if y is None:
             x = (1 - den * den * invert(3 * s, P)) % P
-            g = (x * x * x + B) % P
-    y = sqrt(g, P)
-    if y & 1 != u & 1:
-        y = -y % P
+            y = _lift(x, prefix)
     return x, y
 
 
@@ -113,8 +128,6 @@ def reverse_map(x: int, y: int, i: int) -> int | None:
         if not is_square(s, P):
             return None
         den = (1 + B + s) % P
-        if den == 0:
-            return None
         x1 = (C2 - C1 * s * invert(den, P)) % P
         if is_square(x1 * x1 * x1 + B, P):
             return None

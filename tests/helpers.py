@@ -4,7 +4,9 @@ Everything here recomputes expected values by a different route than the
 library code under test: permitted lengths by mantissa inspection,
 worst-case padding overhead by closed form, Diffie-Hellman by a
 hand-rolled ladder, leakage by full enumeration, field kernels by Fermat
-and Euler, the Elligator2 maps by their textbook formulas, XOR masking
+and Euler, the Elligator2 maps by their textbook formulas, the
+secp256k1 pair codec's forward map by Euler's criterion and a 256-bit
+exponentiation in place of SEC1 decompression, XOR masking
 of key positions one byte at a time, and the seeded byte stream by its
 SHA-256 counter definition.
 """
@@ -162,6 +164,40 @@ def scalar_mult(k: int, pt: tuple[int, int] = K256_G) -> tuple[int, int] | None:
 def is_on_curve(pt: tuple[int, int]) -> bool:
     x, y = pt
     return (y * y - (x * x * x + 7)) % K256_P == 0
+
+
+# The Shallue-van de Woestijne map on secp256k1, lifting x by Jacobi
+# symbol and square root in place of SEC1 decompression.
+
+_K256_C1 = pow(-3 % K256_P, (K256_P + 1) // 4, K256_P)
+_K256_C2 = (_K256_C1 - 1) * pow(2, -1, K256_P) % K256_P
+
+
+def k256_map_candidates(u: int) -> list[int]:
+    """The candidate x-values of the forward map at u, in the order it
+    tries them; the third is undefined at u = 0, so there are two."""
+    p = K256_P
+    s = u * u % p
+    den = (8 + s) % p
+    x1 = (_K256_C2 - _K256_C1 * s * pow(den, -1, p)) % p
+    candidates = [x1, (-x1 - 1) % p]
+    if s:
+        candidates.append((1 - den * den * pow(3 * s, -1, p)) % p)
+    return candidates
+
+
+def k256_forward_map_reference(u: int) -> tuple[int, int] | None:
+    """The first candidate with x^3 + 7 a square, with y of u's parity;
+    None if there is none, which the map's identity rules out."""
+    p = K256_P
+    for x in k256_map_candidates(u):
+        g = (x * x * x + 7) % p
+        if legendre_pure(g, p) != -1:
+            y = pow(g, (p + 1) // 4, p)
+            if y & 1 != u & 1:
+                y = -y % p
+            return x, y
+    return None
 
 
 # Textbook Elligator2 on Curve25519, for cross-checking the fast maps.

@@ -181,6 +181,36 @@ class TestEncodeDecode:
         assert run("encode", "--to", rcpt, "--in", msg, "--out", tmp_path / "o") == 2
         assert "unknown suite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            (["x"], "recipient 0: not a JSON object"),
+            ([{"suite": "B", "pubkey": 5}], "recipient 0: 'pubkey' must be a string"),
+            ([{"suite": "pw", "passphrase": 7}], "'passphrase' must be a string"),
+            ([{"suite": ["B"]}], "recipient 0: 'suite' must be a string"),
+        ],
+        ids=["not-object", "pubkey-int", "passphrase-int", "suite-list"],
+    )
+    def test_malformed_recipient_usage_error(self, tmp_path, capsys, entries, message):
+        rcpt = tmp_path / "r.json"
+        rcpt.write_text(json.dumps(entries))
+        msg = tmp_path / "m"
+        msg.write_bytes(b"x")
+        assert run("encode", "--to", rcpt, "--in", msg, "--out", tmp_path / "o") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_dummy_usage_error(self, tmp_path, keyfiles):
+        sk_path, pk_path = keyfiles
+        rcpt = tmp_path / "r.json"
+        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": open(pk_path).read().strip()}]))
+        msg = tmp_path / "m"
+        msg.write_bytes(b"x")
+        with pytest.raises(SystemExit) as info:
+            run("encode", "--to", rcpt, "--in", msg, "--out", tmp_path / "o", "--dummy", "-3")
+        assert info.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_missing_input_files_reported(self, tmp_path, keyfiles, capsys):
         sk_path, pk_path = keyfiles
         rcpt = tmp_path / "r.json"

@@ -426,7 +426,7 @@ class TestDecodeFailures:
         with pytest.raises(DecodeError):
             decode(blob, Identity(pw, secret_key=kp.sk))
 
-    @pytest.mark.parametrize("case", ["str", "truncated", "k256-scalar"])
+    @pytest.mark.parametrize("case", ["str", "truncated", "k256-scalar", "random"])
     def test_error_chains_no_internal_exception(self, keypairs, case):
         kp = keypairs["A"][0]
         blob = encode([pk_recipient(kp)], b"chain", PadSpec.padme(), seeded_rng(29))
@@ -434,6 +434,9 @@ class TestDecodeFailures:
             "str": ("not a blob", pk_identity(kp)),
             "truncated": (blob[:-1], pk_identity(kp)),
             "k256-scalar": (blob, Identity(kp.suite, secret_key=K256_N.to_bytes(32, "big"))),
+            # un-hides a random representative, so the map's rejected
+            # candidates must stay internal
+            "random": (seeded_rng(30).randbytes(len(blob)), pk_identity(kp)),
         }[case]
         with pytest.raises(DecodeError) as info:
             decode(data, ident)

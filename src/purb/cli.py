@@ -125,10 +125,8 @@ def cmd_decode(args) -> int:
                 return 2
             kinds = PUBLIC_KEY
             secret = read_secret_key(args.key)
-        if args.try_all:
+        if args.try_all or kinds == PASSWORD:
             candidates = [s for s in registry if s.kind == kinds]
-        elif kinds == PASSWORD:
-            candidates = [s for s in registry if s.kind == PASSWORD]
         else:
             if args.suite is None:
                 print("error: need --suite (or --try-all)", file=sys.stderr)
@@ -140,12 +138,25 @@ def cmd_decode(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    exp = trials = tables = 0
+    # A key the suite cannot use is a usage error; build it here, since
+    # inside decode it would pass for a failed decode.
+    identities = []
     for suite in candidates:
-        if suite.kind == PASSWORD:
-            ident = Identity(suite, passphrase=secret)
-        else:
-            ident = Identity(suite, secret_key=secret)
+        if kinds == PASSWORD:
+            identities.append(Identity(suite, passphrase=secret))
+            continue
+        ident = Identity(suite, secret_key=secret)
+        try:
+            ident.native_key
+            identities.append(ident)
+        except ValueError as e:
+            rejected = f"key unusable for suite {suite.alias}: {e}"
+    if not identities:
+        print(f"error: {rejected}", file=sys.stderr)
+        return 2
+
+    exp = trials = tables = 0
+    for ident in identities:
         try:
             payload, stats = decode(blob, ident)
         except DecodeError as e:

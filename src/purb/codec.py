@@ -248,8 +248,6 @@ def encode_detailed(
     payload_scheme_id: int = CHACHA20_SCHEME,
     mac_id: int = HMAC_SHA256,
     hash_prime_id: int = SHA256_PRIME,
-    registry: Registry | None = None,
-    flat: bool = False,
 ) -> tuple[bytes, EncodeReport]:
     """Encode a payload for a set of recipients; see module docstring.
 
@@ -267,7 +265,7 @@ def encode_detailed(
         raise ValueError(f"unknown mac id {mac_id}")
     pad = pad or PadSpec.padme()
     rng = rng or system_rng()
-    registry = registry or default_registry()
+    registry = default_registry()
 
     groups = _group_recipients(recipients, registry)
 
@@ -288,16 +286,10 @@ def encode_detailed(
 
     hdr = layout_mod.HeaderLayout(registry)
     hdr.reserve_pubkeys([suite for suite, _ in groups])
-    slots_per_suite: list[list[tuple[int, int]]] = []
-    for suite, zps in entry_keys:
-        if flat:
-            slots_per_suite.append(
-                hdr.place_entry_points_flat(suite, len(zps), rng)
-            )
-        else:
-            slots_per_suite.append(
-                hdr.place_entry_points(suite, [p for _, p in zps], rng)
-            )
+    slots_per_suite = [
+        hdr.place_entry_points(suite, [p for _, p in zps], rng)
+        for suite, zps in entry_keys
+    ]
     hdr.fill_random(rng)
     mac_fn, mac_len = MACS[mac_id]
     plan = hdr.finalize_lengths(len(payload), mac_len, pad)
@@ -353,7 +345,6 @@ def decode(
     identity: Identity,
     *,
     hardened: bool = False,
-    flat: bool = False,
 ) -> tuple[bytes, DecodeStats]:
     """Trial-decrypt a blob under one identity.
 
@@ -369,7 +360,7 @@ def decode(
     stats = DecodeStats()
     try:
         with memoryview(blob) as view:
-            return _decode(view, identity, stats, hardened, flat), stats
+            return _decode(view, identity, stats, hardened), stats
     except Exception:
         pass
     # Uniform error: malformed input must look like any other failure.
@@ -383,7 +374,6 @@ def _decode(
     identity: Identity,
     stats: DecodeStats,
     hardened: bool,
-    flat: bool,
 ) -> bytes:
     suite = identity.suite
     tau = layout_mod.xor_extract(blob, suite)
@@ -399,37 +389,21 @@ def _decode(
 
     ep_len = suite.entry_len
     plain = None
-    if flat:
-        index = 0
-        while True:
-            start = suite.ht_base + index * ep_len
-            end = start + ep_len
-            if end > len(blob):
+    ht_len, ht_pos = 1, 0
+    while True:
+        start = suite.ht_base + ht_pos + (pkey % ht_len) * ep_len
+        end = start + ep_len
+        if end > len(blob):
+            break
+        stats.tables_scanned += 1
+        stats.trial_count += 1
+        candidate = open_entry_point(suite, z, blob[start:end])
+        if candidate is not None and plain is None:
+            plain = candidate
+            if not hardened:
                 break
-            index += 1
-            stats.tables_scanned = index
-            stats.trial_count += 1
-            candidate = open_entry_point(suite, z, blob[start:end])
-            if candidate is not None and plain is None:
-                plain = candidate
-                if not hardened:
-                    break
-    else:
-        ht_len, ht_pos = 1, 0
-        while True:
-            start = suite.ht_base + ht_pos + (pkey % ht_len) * ep_len
-            end = start + ep_len
-            if end > len(blob):
-                break
-            stats.tables_scanned += 1
-            stats.trial_count += 1
-            candidate = open_entry_point(suite, z, blob[start:end])
-            if candidate is not None and plain is None:
-                plain = candidate
-                if not hardened:
-                    break
-            ht_pos += ht_len * ep_len
-            ht_len *= 2
+        ht_pos += ht_len * ep_len
+        ht_len *= 2
 
     if plain is None:
         if hardened:

@@ -21,8 +21,7 @@ from .suites import Registry, SuiteSpec
 
 @dataclass
 class HeaderPlan:
-    pubkey_pos: dict[int, int]
-    entry_slots: dict[int, list[tuple[int, int]]]
+    pubkey_pos: dict[int, int] = field(default_factory=dict)
     payload_start: int = 0
     payload_end: int = 0
     mac_pos: int = 0
@@ -57,7 +56,7 @@ class HeaderLayout:
         self.content = bytearray()
         self.occupied = bytearray()
         self.fixed = bytearray()  # positions pinned against later suites
-        self.plan = HeaderPlan(pubkey_pos={}, entry_slots={})
+        self.plan = HeaderPlan()
         self._filled = False
 
     @property
@@ -121,27 +120,6 @@ class HeaderLayout:
                     break
                 ht_pos += ht_len * ep_len
                 ht_len *= 2
-        self.plan.entry_slots.setdefault(suite.suite_id, []).extend(slots)
-        return slots
-
-    def place_entry_points_flat(
-        self, suite: SuiteSpec, count: int, rng: RandomSource
-    ) -> list[tuple[int, int]]:
-        """Strawman layout: entry points packed one after another."""
-        slots = []
-        ep_len = suite.entry_len
-        index = 0
-        for _ in range(count):
-            while True:
-                start = suite.ht_base + index * ep_len
-                end = start + ep_len
-                index += 1
-                if _is_free(self.occupied, start, end):
-                    self._write(start, end, rng.randbytes(ep_len))
-                    self.plan.labels.append((start, end, "entry-slot"))
-                    slots.append((start, end))
-                    break
-        self.plan.entry_slots.setdefault(suite.suite_id, []).extend(slots)
         return slots
 
     def write_entry(self, slot: tuple[int, int], data: bytes) -> None:

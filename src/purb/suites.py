@@ -294,16 +294,12 @@ def encap(
 def decap(suite: SuiteSpec, sk: object, tau: bytes) -> bytes:
     """Recover the shared secret from a hidden ephemeral key.
 
-    sk is the raw scalar or the group's native key for it (see
-    private_key); callers that decap repeatedly pass the native key so
-    it is built once.  Total: any string of the right length decodes to
-    some group element, so a wrong or random tau surfaces only as
-    trial-decryption failure.
+    sk is the group's native key for the private scalar (private_key).
+    Total: any string of the right length decodes to some group element,
+    so a wrong or random tau surfaces only as trial-decryption failure.
     """
     if len(tau) != suite.encoded_key_len:
         raise ValueError("encoded key has wrong length")
-    if isinstance(sk, (bytes, bytearray)):
-        sk = suite.group.private_key(sk)
     element = suite.group.unhide(tau)
     return suite.kem_hash(suite.group.dh(sk, element))
 

@@ -18,6 +18,7 @@ import pytest
 import scipy.stats
 
 from helpers import padme_worst_overhead
+from strawman import encode_flat, scan_flat
 from purb.analyzer import SizeDataset, log_uniform_sizes, profile
 from purb.codec import DecodeError, Identity, Recipient, decode, encode, encode_detailed
 from purb.layout import xor_extract
@@ -203,13 +204,12 @@ def test_criterion_7_decode_cost(registry):
         kps = [keygen(suite, rng) for _ in range(r)]
         recipients = [Recipient.public_key(suite, kp.pk_encoded) for kp in kps]
         outsider = keygen(suite, rng)
-        flat_blob = encode(recipients, b"x" * 64, PAD, rng, flat=True)
+        flat_blob, _ = encode_flat(recipients, b"x" * 64, PAD, rng)
         std_blob = encode(recipients, b"x" * 64, PAD, rng)
-        with pytest.raises(DecodeError) as flat_fail:
-            decode(flat_blob, Identity(suite, secret_key=outsider.sk), flat=True)
+        opened, worst_flat = scan_flat(flat_blob, Identity(suite, secret_key=outsider.sk))
+        assert opened is None
         with pytest.raises(DecodeError) as std_fail:
             decode(std_blob, Identity(suite, secret_key=outsider.sk))
-        worst_flat = flat_fail.value.stats.trial_count
         worst_std = std_fail.value.stats.trial_count
         # flat scans one slot per entry point plus whatever padding adds
         assert worst_flat >= r

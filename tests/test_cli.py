@@ -166,6 +166,34 @@ class TestEncodeDecode:
         assert run("decode", "--key", sk_path, "--try-all", "--in", blob, "--out", dec) == 0
         assert dec.read_bytes() == b"which suite?"
 
+    @pytest.mark.parametrize(
+        "suite_args,key",
+        [
+            (["--suite", "B"], b"\x01" * 31),
+            (["--suite", "A"], bytes(32)),
+            (["--try-all"], b""),
+        ],
+        ids=["B-31-bytes", "A-zero-scalar", "try-all-empty"],
+    )
+    def test_unusable_key_usage_error(self, tmp_path, capsys, suite_args, key):
+        sk = tmp_path / "k.sk"
+        sk.write_bytes(key)
+        blob = tmp_path / "m.purb"
+        blob.write_bytes(bytes(256))
+        out = tmp_path / "o"
+        assert run("decode", "--key", sk, *suite_args, "--in", blob, "--out", out) == 2
+        assert "error: key unusable for suite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_try_all_skips_suites_rejecting_key(self, tmp_path, capsys):
+        # 31 bytes are no X25519 scalar but a fine secp256k1 one
+        sk = tmp_path / "k.sk"
+        sk.write_bytes(b"\x01" * 31)
+        blob = tmp_path / "m.purb"
+        blob.write_bytes(bytes(256))
+        assert run("decode", "--key", sk, "--try-all", "--in", blob, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().out == "decode failed\n"
+
     def test_empty_recipient_file(self, tmp_path, keyfiles):
         rcpt = tmp_path / "r.json"
         rcpt.write_text("[]")

@@ -1,3 +1,4 @@
+import dataclasses
 import mmap
 import tracemalloc
 
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import K256_N
+from strawman import encode_flat, scan_flat
 from purb.codec import (
     AES256_CTR_SCHEME,
     CHACHA20_SCHEME,
     DecodeError,
     Identity,
     Meta,
+    PAYLOAD_SCHEMES,
     Recipient,
     decode,
     derive_entry_keys,
@@ -152,7 +155,16 @@ class TestEncodeBasics:
         foreign = keypairs["B"][0]
         clone = type(foreign.suite)(**{**foreign.suite.__dict__, "suite_id": 77, "order_index": 77})
         rec = Recipient(clone, pubkey=foreign.pk_encoded)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="suite B not in registry"):
+            encode([rec], b"x", PadSpec.padme(), seeded_rng(2))
+
+    def test_equal_suite_copy_rejected(self, keypairs):
+        # Membership is by identity: an equal copy is not the registered suite.
+        kp = keypairs["B"][0]
+        clone = dataclasses.replace(kp.suite)
+        assert clone == kp.suite and clone is not kp.suite
+        rec = Recipient(clone, pubkey=kp.pk_encoded)
+        with pytest.raises(ValueError, match="suite B not in registry"):
             encode([rec], b"x", PadSpec.padme(), seeded_rng(2))
 
     def test_single_recipient_header_compact(self, registry, keypairs):
@@ -335,10 +347,18 @@ class TestRoundTrips:
     def test_flat_mode(self, keypairs):
         members = keypairs["B"][:5]
         rs = [pk_recipient(kp) for kp in members]
-        blob = encode(rs, b"flat", PadSpec.padme(), seeded_rng(17), flat=True)
+        blob, report = encode_flat(rs, b"flat", PadSpec.padme(), seeded_rng(17))
         for kp in members:
-            out, stats = decode(blob, pk_identity(kp), flat=True)
-            assert out == b"flat"
+            plain, _ = scan_flat(blob, pk_identity(kp))
+            assert plain is not None
+            meta = Meta.unpack(plain[32:])
+            assert (meta.payload_start, meta.payload_end) == (
+                report.payload_start,
+                report.payload_end,
+            )
+            key_enc, _ = derive_payload_keys(plain[:32], meta.hash_prime_id)
+            ct = blob[meta.payload_start : meta.payload_end]
+            assert PAYLOAD_SCHEMES[meta.payload_scheme_id](key_enc, ct) == b"flat"
 
     def test_empty_payload(self, keypairs):
         kp = keypairs["B"][2]

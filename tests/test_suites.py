@@ -116,7 +116,7 @@ class TestEncapDecap:
             kp = keygen(suite, rng)
             tau, keys = encap(suite, [kp.pk], rng)
             assert len(tau) == suite.encoded_key_len
-            assert decap(suite, kp.sk, tau) == keys[0]
+            assert decap(suite, kp.native_key, tau) == keys[0]
 
     def test_wrong_key_gives_different_secret(self, registry):
         suite = registry.by_alias("B")
@@ -125,7 +125,7 @@ class TestEncapDecap:
             kp = keygen(suite, rng)
             other = keygen(suite, rng)
             tau, keys = encap(suite, [kp.pk], rng)
-            assert decap(suite, other.sk, tau) != keys[0]
+            assert decap(suite, other.native_key, tau) != keys[0]
 
     def test_multi_recipient_keys_distinct(self, registry, keypairs):
         suite = registry.by_alias("B")
@@ -188,11 +188,10 @@ class TestEncapDecap:
             assert seen == {1}
 
     @pytest.mark.parametrize("alias", ["A", "B"])
-    def test_decap_accepts_raw_or_native_key(self, registry, alias):
+    def test_decap_accepts_native_key(self, registry, alias):
         suite = registry.by_alias(alias)
         kp = keygen(suite, seeded_rng(47))
         tau, keys = encap(suite, [kp.pk], seeded_rng(48))
-        assert decap(suite, kp.sk, tau) == keys[0]
         assert decap(suite, suite.group.private_key(kp.sk), tau) == keys[0]
         assert decap(suite, kp.native_key, tau) == keys[0]
 
@@ -206,14 +205,14 @@ class TestEncapDecap:
         for alias in ("A", "B"):
             suite = registry.by_alias(alias)
             kp = keygen(suite, seeded_rng(39))
-            out = decap(suite, kp.sk, b"\x00" * suite.encoded_key_len)
+            out = decap(suite, kp.native_key, b"\x00" * suite.encoded_key_len)
             assert len(out) == 32
 
     def test_decap_checks_length(self, registry):
         suite = registry.by_alias("B")
         kp = keygen(suite, seeded_rng(40))
         with pytest.raises(ValueError):
-            decap(suite, kp.sk, b"\x00" * 31)
+            decap(suite, kp.native_key, b"\x00" * 31)
 
     def test_empty_recipients_rejected(self, registry):
         with pytest.raises(ValueError):

@@ -86,6 +86,35 @@ def _dummy_recipient(suite, rng) -> Recipient:
     return Recipient.public_key(suite, keygen(suite, rng).pk_encoded)
 
 
+def _table_index(suite, start: int) -> int:
+    """Table j starts 2^j - 1 slots past the suite's ht_base."""
+    return ((start - suite.ht_base) // suite.entry_len + 1).bit_length() - 1
+
+
+def _blob_map(report, registry) -> dict:
+    """Byte ranges of an encoded blob, [start, end); no key material."""
+    suites = []
+    for entry in report.suites:
+        suite = registry.by_alias(entry["alias"])
+        primary = entry["primary"]
+        suites.append({
+            "alias": suite.alias,
+            "primary": [primary, primary + suite.encoded_key_len],
+            "entries": [
+                {"range": [start, end], "table": _table_index(suite, start)}
+                for start, end in entry["slots"]
+            ],
+        })
+    return {
+        "purb_len": report.purb_len,
+        "header_len": report.header_len,
+        "suites": suites,
+        "payload": [report.payload_start, report.payload_end],
+        "padding": [report.payload_end, report.mac_pos],
+        "tag": [report.mac_pos, report.purb_len],
+    }
+
+
 def cmd_encode(args) -> int:
     registry = default_registry()
     rng = _seed_rng(args.seed)
@@ -99,6 +128,9 @@ def cmd_encode(args) -> int:
         blob, report = encode_detailed(recipients, payload, args.pad, rng)
         with open(args.out, "wb") as f:
             f.write(blob)
+        if args.report_json:
+            with open(args.report_json, "w", encoding="utf-8") as f:
+                json.dump(_blob_map(report, registry), f, indent=2)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -237,6 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="add N throwaway recipients of the first listed suite",
+    )
+    p.add_argument(
+        "--report-json",
+        metavar="PATH",
+        help="write the blob's byte map (key, entry, payload, padding and "
+        "tag ranges) as JSON",
     )
     p.add_argument(
         "--seed", type=bytes.fromhex, help="hex seed; INSECURE, for tests only"

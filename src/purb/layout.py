@@ -5,9 +5,11 @@ one for written content, one for key positions pinned by earlier suites.
 A suite's primary key position is the first of its allowed positions not
 pinned by an earlier suite; its entry points go into hash tables of
 doubling sizes starting right after the suite's first possible position.
-The finished blob is padded so that the trailing authentication tag
-never lands on any registered suite's key position, and the whole length
-is always a permitted padded length.
+A decoder tries its slot in every table in order, so the encoder may put
+each entry in any table; it picks the assignment with the lowest last
+slot, which keeps the header short.  The finished blob is padded so that
+the trailing authentication tag never lands on any registered suite's key
+position, and the whole length is always a permitted padded length.
 """
 
 from __future__ import annotations
@@ -46,6 +48,96 @@ def _mark(mask: bytearray, start: int, end: int) -> None:
     if len(mask) < end:
         mask.extend(b"\x00" * (end - len(mask)))
     mask[start:end] = b"\x01" * (end - start)
+
+
+# Global slot g counts entry lengths from a suite's ht_base.  Table j
+# starts at slot f = 2^j - 1, and f is also the mask of pkey mod 2^j, so a
+# key's slot in that table is f + (pkey & f).
+
+
+def _greedy_slots(position_keys: list[int], blocked: set[int]) -> list[int]:
+    """Each key, in order, takes its slot in the first table where it is free."""
+    taken = set(blocked)
+    out = []
+    for pkey in position_keys:
+        f = 0
+        while f + (pkey & f) in taken:
+            f = 2 * f + 1
+        out.append(f + (pkey & f))
+        taken.add(out[-1])
+    return out
+
+
+def _augment(
+    root: int, bound: int, cands: list[list[int]], owner: list[int], slot_of: list[int]
+) -> bool:
+    """Kuhn's augmenting-path search, iterative: give the unplaced entry
+    root a slot below bound, moving other entries along the path.
+
+    Changes nothing and returns False when no such path exists.
+    """
+    seen = set()
+    stack = [iter(cands[root])]  # per entry on the path, its slots left to try
+    path = [root]  # path[d] moves to took[d], taken from path[d + 1]
+    took = []
+    while stack:
+        for slot in stack[-1]:  # candidates ascend: the first >= bound ends them
+            if slot >= bound:
+                break
+            if slot not in seen:
+                seen.add(slot)
+                took.append(slot)
+                if owner[slot] < 0:
+                    for e, s in zip(path, took):
+                        owner[s] = e
+                        slot_of[e] = s
+                    return True
+                path.append(owner[slot])
+                stack.append(iter(cands[owner[slot]]))
+                break
+        else:
+            slot = bound
+        if slot >= bound:  # no way on from this entry
+            stack.pop()
+            path.pop()
+            if took:
+                took.pop()
+    return False
+
+
+def _min_max_slots(position_keys: list[int], blocked: set[int]) -> list[int]:
+    """Distinct global slots, one per key at its own table slot, avoiding
+    blocked, with the lowest possible last slot (a bottleneck matching).
+
+    Starts from the greedy assignment, then repeatedly moves the entry on
+    the last slot below it along an augmenting path.  Every other entry is
+    already below, so when the search fails the unplaced entry is the only
+    one and, by Berge's theorem, no assignment has a lower last slot.
+    """
+    slot_of = _greedy_slots(position_keys, blocked)
+    n = len(slot_of)
+    top = max(slot_of, default=0)
+    if n <= 1 or top == n - 1:  # n keys need n slots: greedy is optimal
+        return slot_of
+    # Tables up to the one holding top; each key's slots there, ascending.
+    firsts = [(1 << j) - 1 for j in range((top + 1).bit_length())]
+    cands = [
+        [f + (pkey & f) for f in firsts if f + (pkey & f) not in blocked]
+        for pkey in position_keys
+    ]
+    owner = [-1] * (top + 1)
+    for e, g in enumerate(slot_of):
+        owner[g] = e
+    while True:
+        while owner[top] < 0:
+            top -= 1
+        if top == n - 1:
+            return slot_of
+        entry = owner[top]
+        owner[top] = -1
+        if not _augment(entry, top, cands, owner, slot_of):
+            owner[top] = entry
+            return slot_of
 
 
 class HeaderLayout:
@@ -99,27 +191,40 @@ class HeaderLayout:
     def place_entry_points(
         self, suite: SuiteSpec, position_keys: list[int], rng: RandomSource
     ) -> list[tuple[int, int]]:
-        """Reserve one hash-table slot per position key.
+        """Reserve one hash-table slot per position key, header kept short.
 
-        Table j holds 2^j slots and starts where table j-1 ends; the only
-        slot tried in table j is position_key mod 2^j, and a collision
-        moves straight to the next table.
+        Table j holds 2^j slots and starts where table j-1 ends, so its
+        slot for a key is the global slot 2^j - 1 + position_key mod 2^j,
+        counted in entry lengths from the suite's ht_base.  A decoder
+        tries its key's slot in every table in turn, so any table will
+        do.  Among the assignments of distinct slots free in `occupied`,
+        this picks one with the lowest last slot (see _min_max_slots).
+        Returns (start, end) per key, in key order; the entries get their
+        random placeholder bytes in that order too.
         """
-        slots = []
         ep_len = suite.entry_len
-        for pkey in position_keys:
-            ht_len, ht_pos = 1, 0
-            while True:
-                index = pkey % ht_len
-                start = suite.ht_base + ht_pos + index * ep_len
-                end = start + ep_len
-                if _is_free(self.occupied, start, end):
-                    self._write(start, end, rng.randbytes(ep_len))
-                    self.plan.labels.append((start, end, "entry-slot"))
-                    slots.append((start, end))
-                    break
-                ht_pos += ht_len * ep_len
-                ht_len *= 2
+        base = suite.ht_base
+        # Slots overlapping content already written, run by run: primaries
+        # and the entries of suites placed earlier.
+        blocked = set()
+        mask = self.occupied
+        run_start = mask.find(b"\x01", base)
+        while run_start >= 0:
+            run_end = mask.find(b"\x00", run_start)
+            if run_end < 0:
+                run_end = len(mask)
+            blocked.update(
+                range((run_start - base) // ep_len, (run_end - 1 - base) // ep_len + 1)
+            )
+            run_start = mask.find(b"\x01", run_end)
+        chosen = _min_max_slots(position_keys, blocked)
+        slots = []
+        for g in chosen:
+            start = base + g * ep_len
+            end = start + ep_len
+            self._write(start, end, rng.randbytes(ep_len))
+            self.plan.labels.append((start, end, "entry-slot"))
+            slots.append((start, end))
         return slots
 
     def write_entry(self, slot: tuple[int, int], data: bytes) -> None:

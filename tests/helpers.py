@@ -7,13 +7,15 @@ hand-rolled ladder, leakage by full enumeration, field kernels by Fermat
 and Euler, the Elligator2 maps by their textbook formulas, the
 secp256k1 pair codec's forward map by Euler's criterion and a 256-bit
 exponentiation in place of SEC1 decompression, XOR masking
-of key positions one byte at a time, and the seeded byte stream by its
-SHA-256 counter definition.
+of key positions one byte at a time, the seeded byte stream by its
+SHA-256 counter definition, and entry-point placement by Hall's
+condition over every subset of keys.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 
@@ -258,3 +260,53 @@ def seeded_stream(seed: bytes, n: int) -> bytes:
         out += hashlib.sha256(seed + i.to_bytes(8, "big")).digest()
         i += 1
     return bytes(out[:n])
+
+
+# Entry-point placement over global hash-table slots: table j holds slots
+# 2^j - 1 .. 2^(j+1) - 2, and a key may only sit at 2^j - 1 + key mod 2^j.
+
+
+def table_slots(pkey: int, last: int) -> set[int]:
+    """Every slot of pkey's, one per table, up to slot `last`."""
+    out, j = set(), 0
+    while (1 << j) - 1 <= last:
+        g = (1 << j) - 1 + pkey % (1 << j)
+        if g <= last:
+            out.add(g)
+        j += 1
+    return out
+
+
+def greedy_placement(position_keys: list[int], blocked: set[int]) -> list[int]:
+    """Slots of the first-free-table rule: each key in order takes its slot
+    in the lowest table not blocked or taken by an earlier key."""
+    taken = set(blocked)
+    out = []
+    for pkey in position_keys:
+        j = 0
+        while (1 << j) - 1 + pkey % (1 << j) in taken:
+            j += 1
+        out.append((1 << j) - 1 + pkey % (1 << j))
+        taken.add(out[-1])
+    return out
+
+
+def min_max_last_slot(position_keys: list[int], blocked: set[int]) -> int:
+    """Lowest last slot over all placements of distinct, unblocked slots.
+
+    A bound works when Hall's condition holds: every subset of keys can
+    reach at least as many slots at or below it as it has keys.  Tries
+    each bound upward from n - 1; exponential in the key count, so for
+    small instances only.
+    """
+    n = len(position_keys)
+    bound = n - 1
+    while True:
+        reach = [table_slots(p, bound) - blocked for p in position_keys]
+        if all(
+            len(set().union(*(reach[i] for i in subset))) >= size
+            for size in range(1, n + 1)
+            for subset in itertools.combinations(range(n), size)
+        ):
+            return bound
+        bound += 1

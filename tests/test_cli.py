@@ -132,6 +132,45 @@ class TestEncodeDecode:
         assert run("decode", "--key", sk_path, "--suite", "B", "--in", blob, "--out", dec) == 0
         assert dec.read_bytes() == b"covered"
 
+    def test_report_json_blob_map(self, tmp_path, keyfiles, capsys):
+        sk_path, pk_path = keyfiles
+        rcpt = self.write_recipients(tmp_path, pk_path)
+        msg = tmp_path / "m"
+        msg.write_bytes(b"mapped" * 50)
+        blob, report = tmp_path / "m.purb", tmp_path / "m.json"
+        assert run(
+            "encode", "--to", rcpt, "--in", msg, "--out", blob, "--dummy", "6",
+            "--seed", "dd", "--report-json", report,
+        ) == 0
+        text = report.read_text()
+        assert "tau" not in text
+        geo = json.loads(text)
+        purb_len = geo["purb_len"]
+        assert purb_len == blob.stat().st_size
+        assert [s["alias"] for s in geo["suites"]] == ["B", "pw"]
+        assert [len(s["entries"]) for s in geo["suites"]] == [7, 1]
+        in_header = []
+        for suite in geo["suites"]:
+            in_header.append(suite["primary"])
+            in_header += [e["range"] for e in suite["entries"]]
+        assert all(end <= geo["header_len"] for _, end in in_header)
+        ranges = sorted(in_header + [geo["payload"], geo["padding"], geo["tag"]])
+        assert all(0 <= a <= b <= purb_len for a, b in ranges)
+        assert all(b1 <= a2 for (_, b1), (a2, _) in zip(ranges, ranges[1:]))
+        assert geo["payload"] == [geo["header_len"], geo["header_len"] + 300]
+        assert geo["tag"][1] == purb_len and geo["tag"][1] - geo["tag"][0] == 32
+
+        # The first B entry is the key file's: decoding tries one slot per
+        # table, so it opens on trial table + 1.
+        capsys.readouterr()
+        dec = tmp_path / "d"
+        assert run(
+            "decode", "--key", sk_path, "--suite", "B", "--in", blob, "--out", dec,
+            "--stats",
+        ) == 0
+        table = geo["suites"][0]["entries"][0]["table"]
+        assert f"trial_count={table + 1} " in capsys.readouterr().out
+
     def test_seed_determinism(self, tmp_path, keyfiles):
         sk_path, pk_path = keyfiles
         rcpt = tmp_path / "r.json"

@@ -1,16 +1,52 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import permitted_length, xor_ranges_bytewise
-from purb.codec import Recipient, encode_detailed
+from helpers import (
+    greedy_placement,
+    min_max_last_slot,
+    permitted_length,
+    xor_ranges_bytewise,
+)
+from purb.codec import Identity, Recipient, decode, derive_entry_keys, encode_detailed
 from purb.layout import HeaderLayout, in_range_positions, xor_encode, xor_extract
 from purb.padding import PadSpec
 from purb.rng import seeded_rng
+from purb.suites import decap, keygen
 
 
 def suites_by_alias(registry, *aliases):
     return [registry.by_alias(a) for a in aliases]
+
+
+def global_slot(suite, slot):
+    """Slot index counted in entry lengths from ht_base."""
+    offset, rem = divmod(slot[0] - suite.ht_base, suite.entry_len)
+    assert rem == 0 and offset >= 0 and slot[1] - slot[0] == suite.entry_len
+    return offset
+
+
+def table_of(g):
+    return (g + 1).bit_length() - 1
+
+
+def assert_own_table_slots(suite, slots, position_keys):
+    """Each entry sits at its key's slot, pkey mod 2^j, of some table j."""
+    for slot, pkey in zip(slots, position_keys):
+        g = global_slot(suite, slot)
+        j = table_of(g)
+        assert g == (1 << j) - 1 + pkey % (1 << j)
+
+
+def blocked_slots(hdr, suite):
+    """Global slots of the suite holding any byte already occupied."""
+    ep, base = suite.entry_len, suite.ht_base
+    return {
+        g for g in range(len(hdr.occupied) // ep + 1)
+        if any(hdr.occupied[base + g * ep : base + (g + 1) * ep])
+    }
 
 
 class TestReservePubkeys:
@@ -82,15 +118,16 @@ class TestPlaceEntryPoints:
         slots = hdr.place_entry_points(b, [1234], seeded_rng(1))
         assert slots == [(32, 32 + b.entry_len)]
 
-    def test_forced_collision_goes_to_next_table(self, registry):
+    def test_forced_collision_takes_lowest_last_slot(self, registry):
+        # Both keys want the size-1 table; greedy gives 10 slot 0 and 11
+        # slot 2 (table 1, index 1), but 10 fits table 1's index 0 instead.
         b = registry.by_alias("B")
         hdr = HeaderLayout(registry)
         hdr.reserve_pubkeys([b])
-        first, second = hdr.place_entry_points(b, [10, 11], seeded_rng(2))
-        ep = b.entry_len
-        assert first == (32, 32 + ep)
-        # second collides in the size-1 table, lands at slot (11 mod 2) of table 1
-        assert second == (32 + ep + (11 % 2) * ep, 32 + ep + (11 % 2 + 1) * ep)
+        slots = hdr.place_entry_points(b, [10, 11], seeded_rng(2))
+        assert_own_table_slots(b, slots, [10, 11])
+        last = max(global_slot(b, s) for s in slots)
+        assert last == min_max_last_slot([10, 11], set()) == 1
 
     def test_same_position_key_gets_distinct_slots(self, registry):
         b = registry.by_alias("B")
@@ -149,6 +186,71 @@ class TestPlaceEntryPoints:
         ranges = sorted((a, b) for a, b, _ in hdr.plan.labels)
         for (a1, b1), (a2, b2) in zip(ranges, ranges[1:]):
             assert b1 <= a2
+
+
+class TestMinMaxPlacement:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        keys=st.lists(
+            st.one_of(st.integers(0, 15), st.integers(0, 2**256 - 1)),
+            min_size=1, max_size=7,
+        ),
+        a_keys=st.one_of(
+            st.none(), st.lists(st.integers(0, 15), min_size=0, max_size=4)
+        ),
+    )
+    def test_lowest_last_slot(self, registry, keys, a_keys):
+        # With suite A first, its primary and its 64-byte entries (from
+        # 64 + 64g) straddle pairs of B's slots (from 32 + 64g).
+        a, b = suites_by_alias(registry, "A", "B")
+        hdr = HeaderLayout(registry)
+        if a_keys is None:
+            hdr.reserve_pubkeys([b])
+        else:
+            hdr.reserve_pubkeys([a, b])
+            hdr.place_entry_points(a, a_keys, seeded_rng(40))
+        before = bytes(hdr.occupied)
+        blocked = blocked_slots(hdr, b)
+        slots = hdr.place_entry_points(b, keys, seeded_rng(41))
+        assert len(slots) == len(keys)
+        assert len(set(slots)) == len(keys)
+        for start, end in slots:
+            assert not any(before[start:end])
+        assert_own_table_slots(b, slots, keys)
+        last = max(global_slot(b, s) for s in slots)
+        assert last == min_max_last_slot(keys, blocked)
+        assert last <= max(greedy_placement(keys, blocked))
+
+    def test_rng_one_entry_draw_per_key_in_order(self, registry):
+        b = registry.by_alias("B")
+        hdr = HeaderLayout(registry)
+        hdr.reserve_pubkeys([b])
+        keys = [10, 11, 10, 3]
+        slots = hdr.place_entry_points(b, keys, seeded_rng(42))
+        draws = seeded_rng(42)
+        for start, end in slots:
+            assert bytes(hdr.content[start:end]) == draws.randbytes(b.entry_len)
+
+    def test_members_decode_at_their_table(self, registry):
+        # 300 suite-B recipients: each member opens its entry on trial
+        # j + 1, where j is the table the encoder put it in.
+        b = registry.by_alias("B")
+        rng = seeded_rng(b"min-max-300")
+        kps = [keygen(b, rng) for _ in range(300)]
+        recipients = [Recipient.public_key(b, kp.pk_encoded) for kp in kps]
+        blob, report = encode_detailed(recipients, b"tables", PadSpec.padme(), rng)
+        (entry,) = report.suites
+        tau = xor_extract(blob, b)
+        keys = []
+        for kp, slot in zip(kps, entry["slots"]):
+            ident = Identity(b, secret_key=kp.sk)
+            out, stats = decode(blob, ident)
+            assert out == b"tables"
+            assert stats.trial_count == table_of(global_slot(b, slot)) + 1
+            keys.append(derive_entry_keys(decap(b, ident.native_key, tau), b)[1])
+        assert_own_table_slots(b, entry["slots"], keys)
+        last = max(global_slot(b, s) for s in entry["slots"])
+        assert last <= max(greedy_placement(keys, set()))
 
 
 class TestFillRandom:

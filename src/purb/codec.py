@@ -4,15 +4,27 @@ An encoded blob carries, with no cleartext structure: one hidden
 ephemeral key (or salt) per suite at XOR-masked standard positions, one
 AEAD-sealed entry point per recipient in expanding hash tables, the
 stream-encrypted payload, random padding to a permitted length, and a
-trailing MAC over everything before it.  Decoding is trial-based and
-reports its operation counts; every failure mode collapses into the
-single opaque DecodeError.
+trailing MAC over everything before it.
+
+Encoding takes the KEM in two phases.  The draw phase takes all of its
+randomness on the calling thread, in canonical suite order: one
+ephemeral key pair per public-key suite (keygen), then one salt per
+password suite.  The secret phase draws nothing.  When the blob has
+passphrase recipients, one helper thread, started and joined inside the
+call, runs their scrypt, which releases the GIL, while the calling
+thread unhides the recipient keys and runs the exchanges (encap).  A
+seeded encode therefore gives the same bytes however the threads are
+scheduled, and it may use a second core.
+
+Decoding is trial-based and reports its operation counts; every failure
+mode collapses into the single opaque DecodeError.
 """
 
 from __future__ import annotations
 
 import hmac as hmac_mod
 import hashlib
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -234,6 +246,34 @@ def _group_recipients(
     return [(registry.by_id(sid), groups[sid]) for sid in ordered]
 
 
+def _beside(background, foreground):
+    """Run background() on a helper thread while this thread runs
+    foreground(); return both results, background's first.
+
+    The helper is joined before anything leaves this call: an exception
+    on this thread propagates after the join, and one on the helper is
+    raised here.
+    """
+    outcome: list = []
+
+    def run():
+        try:
+            outcome.append((True, background()))
+        except BaseException as exc:  # raised again on the calling thread
+            outcome.append((False, exc))
+
+    helper = threading.Thread(target=run, name="purb-scrypt")
+    helper.start()
+    try:
+        front = foreground()
+    finally:
+        helper.join()
+    ok, back = outcome[0]
+    if not ok:
+        raise back
+    return back, front
+
+
 def encode(*args, **kwargs) -> bytes:
     """encode_detailed without the report: same arguments, returns the blob."""
     return encode_detailed(*args, **kwargs)[0]
@@ -269,18 +309,53 @@ def encode_detailed(
 
     groups = _group_recipients(recipients, registry)
 
-    # Per suite: hidden ephemeral key (or fresh salt) and shared secrets.
+    # Draw phase, on this thread and in suite order: all of the KEM's
+    # randomness, one ephemeral key pair per public-key suite and one
+    # fresh salt per password suite.
     taus: list[tuple[SuiteSpec, bytes]] = []
-    entry_keys: list[tuple[SuiteSpec, list[tuple[bytes, int]]]] = []
-    for suite, members in groups:
+    ephs: dict[int, suites_mod.KeyPair] = {}
+    salts: dict[int, bytes] = {}
+    for suite, _ in groups:
         if suite.kind == PUBLIC_KEY:
-            elements = [suite.group.unhide(m.pubkey) for m in members]
-            tau, ks = suites_mod.encap(suite, elements, rng)
+            eph = ephs[suite.suite_id] = suites_mod.keygen(suite, rng)
+            taus.append((suite, eph.pk_encoded))
         else:
-            tau = rng.randbytes(suite.encoded_key_len)
-            ks = [suites_mod.password_secret(suite, tau, m.passphrase) for m in members]
-        taus.append((suite, tau))
-        entry_keys.append((suite, [derive_entry_keys(k, suite) for k in ks]))
+            salt = salts[suite.suite_id] = rng.randbytes(suite.encoded_key_len)
+            taus.append((suite, salt))
+
+    # Secret phase: one shared secret per recipient, no randomness.
+    def public_key_secrets() -> dict[int, list[bytes]]:
+        return {
+            suite.suite_id: suites_mod.encap(
+                suite,
+                ephs[suite.suite_id],
+                [suite.group.unhide(m.pubkey) for m in members],
+            )
+            for suite, members in groups
+            if suite.kind == PUBLIC_KEY
+        }
+
+    def password_secrets() -> dict[int, list[bytes]]:
+        return {
+            suite.suite_id: [
+                suites_mod.password_secret(suite, salts[suite.suite_id], m.passphrase)
+                for m in members
+            ]
+            for suite, members in groups
+            if suite.kind == PASSWORD
+        }
+
+    if salts:
+        # scrypt releases the GIL and the point work holds it, so the
+        # passphrase secrets overlap with the unhides and exchanges.
+        shared, pk_shared = _beside(password_secrets, public_key_secrets)
+        shared.update(pk_shared)
+    else:
+        shared = public_key_secrets()
+    entry_keys = [
+        (suite, [derive_entry_keys(k, suite) for k in shared[suite.suite_id]])
+        for suite, _ in groups
+    ]
 
     session_key = rng.randbytes(SESSION_KEY_LEN)
 

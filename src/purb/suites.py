@@ -275,20 +275,21 @@ def keygen(suite: SuiteSpec, rng: RandomSource) -> KeyPair:
             return KeyPair(suite, sk, pk, encoded, attempts, native_key)
 
 
-def encap(
-    suite: SuiteSpec, recipients: Sequence[object], rng: RandomSource
-) -> tuple[bytes, list[bytes]]:
-    """One fresh ephemeral key against each recipient public key.
+def encap(suite: SuiteSpec, eph: KeyPair, recipients: Sequence[object]) -> list[bytes]:
+    """One shared secret per recipient public key, against eph.
 
-    Returns the hidden ephemeral key and one shared secret per recipient.
+    eph is the suite's ephemeral key pair from keygen, and eph.pk_encoded
+    is the hidden key that goes in the blob.  Encoding runs in two
+    phases: a draw phase takes every random value (keygen here, salts for
+    passphrases) on the calling thread in suite order; a secret phase
+    then calls encap, which draws nothing, while a helper thread runs
+    password_secret for any passphrase recipients.
     """
     if suite.kind != PUBLIC_KEY:
         raise ValueError("encap needs a public-key suite")
     if not recipients:
         raise ValueError("no recipients")
-    eph = keygen(suite, rng)
-    keys = [suite.kem_hash(suite.group.dh(eph.native_key, pk)) for pk in recipients]
-    return eph.pk_encoded, keys
+    return [suite.kem_hash(suite.group.dh(eph.native_key, pk)) for pk in recipients]
 
 
 def decap(suite: SuiteSpec, sk: object, tau: bytes) -> bytes:

@@ -1,5 +1,7 @@
 import dataclasses
 import mmap
+import multiprocessing
+import threading
 import tracemalloc
 
 import pytest
@@ -24,6 +26,7 @@ from purb.codec import (
     open_entry_point,
     seal_entry_point,
 )
+from purb import suites as suites_mod
 from purb.padding import PadSpec
 from purb.rng import seeded_rng
 from purb.suites import keygen
@@ -213,6 +216,32 @@ class TestEncodeBasics:
             "c718ebde09d5de770d9cbfbf77cb2d4fcb3d7eb4af1766af192b3c629f0d19b3"
         )
 
+    def test_golden_blob_three_passphrases(self, registry):
+        # Several passphrases: pins the salt draw among the ephemeral
+        # keys and the order in which the passphrase secrets come back
+        # from the helper thread.
+        import hashlib
+
+        b, a, pw = (registry.by_alias(x) for x in ("B", "A", "pw"))
+        kp_b = keygen(b, seeded_rng(b"golden-key-b"))
+        kp_a = keygen(a, seeded_rng(b"golden-key-a"))
+        phrases = [b"golden horse", b"battery staple", b"correct horse"]
+        rs = [
+            Recipient.password(pw, phrases[0]),
+            Recipient.public_key(a, kp_a.pk_encoded),
+            Recipient.password(pw, phrases[1]),
+            Recipient.public_key(b, kp_b.pk_encoded),
+            Recipient.password(pw, phrases[2]),
+        ]
+        payload = bytes(range(200))
+        blob = encode(rs, payload, PadSpec.padme(), seeded_rng(b"golden-3"))
+        assert len(blob) == 2176
+        assert hashlib.sha256(blob).hexdigest() == (
+            "96f5879a9f60efaa25df390586825184f468b125ea07a7e04c43ba80b6ff1b57"
+        )
+        for phrase in phrases:
+            assert decode(blob, Identity(pw, passphrase=phrase))[0] == payload
+
     def test_recipient_order_does_not_change_suite_order(self, registry, keypairs):
         ra = pk_recipient(keypairs["A"][0])
         rb = pk_recipient(keypairs["B"][0])
@@ -265,6 +294,85 @@ class TestEncodeBasics:
             encode(rs, b"x", PadSpec.padme(), seeded_rng(11), payload_scheme_id=0x7F)
         with pytest.raises(ValueError):
             encode(rs, b"x", PadSpec.padme(), seeded_rng(11), mac_id=0x7F)
+
+
+def _mixed_recipients(registry, keypairs):
+    pw = registry.by_alias("pw")
+    rs = [
+        pk_recipient(keypairs["A"][0]),
+        Recipient.password(pw, b"hunter2"),
+        pk_recipient(keypairs["B"][0]),
+    ]
+    return rs, Identity(pw, passphrase=b"hunter2")
+
+
+def _roundtrip_or_exit(recipients, identity, payload):
+    blob = encode(recipients, payload, PadSpec.padme(), seeded_rng(12))
+    if decode(blob, identity)[0] != payload:
+        raise SystemExit(1)
+
+
+class TestEncodeThreads:
+    """Passphrase scrypt runs on a helper thread that lives inside one encode."""
+
+    def test_password_secret_runs_off_calling_thread(self, registry, keypairs, monkeypatch):
+        rs, identity = _mixed_recipients(registry, keypairs)
+        threads = []
+        real = suites_mod.password_secret
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(suites_mod, "password_secret", recording)
+        blob = encode(rs, b"off-thread", PadSpec.padme(), seeded_rng(13))
+        assert len(threads) == 1
+        assert threads[0] != threading.get_ident()
+        monkeypatch.undo()
+        assert decode(blob, identity)[0] == b"off-thread"
+
+    def test_no_thread_outlives_encode(self, registry, keypairs):
+        rs, identity = _mixed_recipients(registry, keypairs)
+        before = threading.active_count()
+        blob = encode(rs, b"joined", PadSpec.padme(), seeded_rng(14))
+        assert threading.active_count() == before
+        assert decode(blob, identity)[0] == b"joined"
+
+    @pytest.mark.parametrize("target", ["password_secret", "encap"])
+    def test_failure_on_either_side_joins_helper(self, registry, keypairs, monkeypatch, target):
+        # password_secret fails on the helper thread, encap on the
+        # calling thread while the helper runs; either way the caller
+        # gets the exception itself and no thread is left behind.
+        class Boom(Exception):
+            pass
+
+        def failing(*args):
+            raise Boom
+
+        rs, _ = _mixed_recipients(registry, keypairs)
+        monkeypatch.setattr(suites_mod, target, failing)
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            encode(rs, b"m", PadSpec.padme(), seeded_rng(15))
+        assert threading.active_count() == before
+
+    def test_encode_in_forked_child(self, registry, keypairs):
+        # purbbench forks a child to measure RSS growth after the parent
+        # has already encoded; the child must encode and decode as well.
+        rs, identity = _mixed_recipients(registry, keypairs)
+        _roundtrip_or_exit(rs, identity, b"parent")
+        child = multiprocessing.get_context("fork").Process(
+            target=_roundtrip_or_exit, args=(rs, identity, b"child")
+        )
+        child.start()
+        try:
+            child.join(timeout=60)
+            assert not child.is_alive()
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
 
 
 class TestRoundTrips:

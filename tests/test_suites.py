@@ -114,9 +114,10 @@ class TestEncapDecap:
         rng = seeded_rng(35)
         for _ in range(100):
             kp = keygen(suite, rng)
-            tau, keys = encap(suite, [kp.pk], rng)
-            assert len(tau) == suite.encoded_key_len
-            assert decap(suite, kp.native_key, tau) == keys[0]
+            eph = keygen(suite, rng)
+            keys = encap(suite, eph, [kp.pk])
+            assert len(eph.pk_encoded) == suite.encoded_key_len
+            assert decap(suite, kp.native_key, eph.pk_encoded) == keys[0]
 
     def test_wrong_key_gives_different_secret(self, registry):
         suite = registry.by_alias("B")
@@ -124,13 +125,14 @@ class TestEncapDecap:
         for _ in range(100):
             kp = keygen(suite, rng)
             other = keygen(suite, rng)
-            tau, keys = encap(suite, [kp.pk], rng)
-            assert decap(suite, other.native_key, tau) != keys[0]
+            eph = keygen(suite, rng)
+            keys = encap(suite, eph, [kp.pk])
+            assert decap(suite, other.native_key, eph.pk_encoded) != keys[0]
 
     def test_multi_recipient_keys_distinct(self, registry, keypairs):
         suite = registry.by_alias("B")
         pks = [kp.pk for kp in keypairs["B"]]
-        _, keys = encap(suite, pks, seeded_rng(37))
+        keys = encap(suite, keygen(suite, seeded_rng(37)), pks)
         assert len(set(keys)) == len(keys)
 
     def test_one_exponentiation_per_recipient(self, registry, keypairs, monkeypatch):
@@ -144,13 +146,14 @@ class TestEncapDecap:
 
         monkeypatch.setattr(type(suite.group), "dh", counting_dh)
         pks = [kp.pk for kp in keypairs["B"][:3]]
-        encap(suite, pks, seeded_rng(38))
+        encap(suite, keygen(suite, seeded_rng(38)), pks)
         assert calls["dh"] == 3
 
     @pytest.mark.parametrize("alias", ["A", "B"])
     def test_one_private_key_build_per_encap(self, registry, keypairs, monkeypatch, alias):
-        # The ephemeral's native key comes from keygen; the recipients
-        # only add exchanges, never another key build.
+        # Builds are counted across keygen plus encap: the ephemeral's
+        # native key comes from keygen, and the recipients only add
+        # exchanges, never another key build.
         suite = registry.by_alias(alias)
         group = type(suite.group)
         counts = {"private_key": 0, "keygen_raw": 0, "derive": 0}
@@ -176,7 +179,8 @@ class TestEncapDecap:
         seen = set()
         for n in (1, 3, 40):
             counts.update(private_key=0, keygen_raw=0, derive=0)
-            _, keys = encap(suite, pks[:n], seeded_rng(45))
+            eph = keygen(suite, seeded_rng(45))
+            keys = encap(suite, eph, pks[:n])
             assert len(keys) == n
             # One build per keygen attempt (the pair codec never retries);
             # the same seed gives the same attempts at every n.
@@ -191,9 +195,10 @@ class TestEncapDecap:
     def test_decap_accepts_native_key(self, registry, alias):
         suite = registry.by_alias(alias)
         kp = keygen(suite, seeded_rng(47))
-        tau, keys = encap(suite, [kp.pk], seeded_rng(48))
-        assert decap(suite, suite.group.private_key(kp.sk), tau) == keys[0]
-        assert decap(suite, kp.native_key, tau) == keys[0]
+        eph = keygen(suite, seeded_rng(48))
+        keys = encap(suite, eph, [kp.pk])
+        assert decap(suite, suite.group.private_key(kp.sk), eph.pk_encoded) == keys[0]
+        assert decap(suite, kp.native_key, eph.pk_encoded) == keys[0]
 
     @pytest.mark.parametrize("scalar", [0, K256_N, 2**256 - 1])
     def test_k256_private_key_range_checked(self, registry, scalar):
@@ -215,17 +220,19 @@ class TestEncapDecap:
             decap(suite, kp.native_key, b"\x00" * 31)
 
     def test_empty_recipients_rejected(self, registry):
+        suite = registry.by_alias("B")
+        eph = keygen(suite, seeded_rng(41))
         with pytest.raises(ValueError):
-            encap(registry.by_alias("B"), [], seeded_rng(41))
+            encap(suite, eph, [])
 
     def test_ordering_stable_across_runs(self, registry):
         # Same recipient multiset, same seed: identical tau per suite.
         suite = registry.by_alias("B")
         rng = seeded_rng(42)
         kp = keygen(suite, rng)
-        tau1, keys1 = encap(suite, [kp.pk], seeded_rng(43))
-        tau2, keys2 = encap(suite, [kp.pk], seeded_rng(43))
-        assert tau1 == tau2 and keys1 == keys2
+        eph1, eph2 = keygen(suite, seeded_rng(43)), keygen(suite, seeded_rng(43))
+        keys1, keys2 = encap(suite, eph1, [kp.pk]), encap(suite, eph2, [kp.pk])
+        assert eph1.pk_encoded == eph2.pk_encoded and keys1 == keys2
 
 
 class TestPasswordSecret:

@@ -17,7 +17,12 @@ seeded encode therefore gives the same bytes however the threads are
 scheduled, and it may use a second core.
 
 Decoding is trial-based and reports its operation counts; every failure
-mode collapses into the single opaque DecodeError.
+mode collapses into the single opaque DecodeError.  For a payload of
+OVERLAP_MIN_PAYLOAD bytes or more, one helper thread, started and
+joined inside the call, computes the tag, which releases the GIL, while
+the calling thread decrypts the payload, which holds it; the plaintext
+leaves only after the tag verifies.  Smaller payloads, where starting a
+thread costs more than it saves, decode on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -47,6 +52,12 @@ from .suites import (
 )
 
 MAX_OFFSET = 1 << 48  # payload offsets are 48-bit fields
+
+# Decode overlaps tag and decryption from this payload length up.  Below
+# it, the thread start (about 36 us) costs more than the overlap saves:
+# the two break even near 128 KiB when glibc mmaps every buffer of 128 KiB
+# or more, and near 256 KiB under its default, adaptive threshold.
+OVERLAP_MIN_PAYLOAD = 256 << 10
 
 _ZERO_NONCE = b"\x00" * 12  # entry-point keys are single-use per blob
 
@@ -250,6 +261,9 @@ def _beside(background, foreground):
     """Run background() on a helper thread while this thread runs
     foreground(); return both results, background's first.
 
+    Encode runs passphrase scrypt this way beside the public-key work,
+    and decode a large blob's tag beside its decryption: in each pair the
+    background step releases the GIL and the foreground step holds it.
     The helper is joined before anything leaves this call: an exception
     on this thread propagates after the join, and one on the helper is
     raised here.
@@ -262,15 +276,20 @@ def _beside(background, foreground):
         except BaseException as exc:  # raised again on the calling thread
             outcome.append((False, exc))
 
-    helper = threading.Thread(target=run, name="purb-scrypt")
+    helper = threading.Thread(target=run, name="purb-helper")
     helper.start()
     try:
         front = foreground()
     finally:
         helper.join()
-    ok, back = outcome[0]
+        # Popped, so a helper exception's traceback cannot reach itself
+        # through the list and keep the caller's buffers exported.
+        ok, back = outcome.pop()
     if not ok:
-        raise back
+        try:
+            raise back
+        finally:
+            del back  # nor through this frame
     return back, front
 
 
@@ -415,12 +434,7 @@ def encode_detailed(
     return bytes(blob), report
 
 
-def decode(
-    blob,
-    identity: Identity,
-    *,
-    hardened: bool = False,
-) -> tuple[bytes, DecodeStats]:
+def decode(blob, identity: Identity) -> tuple[bytes, DecodeStats]:
     """Trial-decrypt a blob under one identity.
 
     The blob may be any bytes-like object (bytes, bytearray, memoryview,
@@ -428,14 +442,17 @@ def decode(
     suite carries everything a decoder needs; no registry, version
     field, or other cleartext marker is consulted.  Returns the payload
     as bytes and operation counts, or raises DecodeError; all failure
-    modes are indistinguishable from the caller's point of view.  In
-    hardened mode every candidate slot is tried and a dummy tag check
-    runs even on misses, as a best-effort timing leveler.
+    modes are indistinguishable from the caller's point of view.  The
+    scan stops at the first entry point that opens, so decode time
+    depends on membership and on blob length.  A payload of
+    OVERLAP_MIN_PAYLOAD bytes or more is decrypted on the calling thread
+    while a helper thread, joined before the call returns, computes the
+    tag; the plaintext is returned only if the tag verifies.
     """
     stats = DecodeStats()
     try:
         with memoryview(blob) as view:
-            return _decode(view, identity, stats, hardened), stats
+            return _decode(view, identity, stats), stats
     except Exception:
         pass
     # Uniform error: malformed input must look like any other failure.
@@ -444,12 +461,7 @@ def decode(
     raise DecodeError(stats)
 
 
-def _decode(
-    blob: memoryview,
-    identity: Identity,
-    stats: DecodeStats,
-    hardened: bool,
-) -> bytes:
+def _decode(blob: memoryview, identity: Identity, stats: DecodeStats) -> bytes:
     suite = identity.suite
     tau = layout_mod.xor_extract(blob, suite)
     if tau is None:
@@ -465,25 +477,16 @@ def _decode(
     ep_len = suite.entry_len
     plain = None
     ht_len, ht_pos = 1, 0
-    while True:
+    while plain is None:
         start = suite.ht_base + ht_pos + (pkey % ht_len) * ep_len
         end = start + ep_len
         if end > len(blob):
-            break
+            raise DecodeError(stats)
         stats.tables_scanned += 1
         stats.trial_count += 1
-        candidate = open_entry_point(suite, z, blob[start:end])
-        if candidate is not None and plain is None:
-            plain = candidate
-            if not hardened:
-                break
+        plain = open_entry_point(suite, z, blob[start:end])
         ht_pos += ht_len * ep_len
         ht_len *= 2
-
-    if plain is None:
-        if hardened:
-            _hmac_sha256(b"\x00" * 32, blob)  # dummy pass over the blob
-        raise DecodeError(stats)
 
     session_key = plain[:SESSION_KEY_LEN]
     meta = Meta.unpack(plain[SESSION_KEY_LEN:])
@@ -492,12 +495,22 @@ def _decode(
     mac_fn, mac_len = MACS[meta.mac_id]
     if mac_len >= len(blob):
         raise DecodeError(stats)
-    key_enc, key_mac = derive_payload_keys(session_key, meta.hash_prime_id)
     mac_pos = len(blob) - mac_len
-    tag = mac_fn(key_mac, blob[:mac_pos])
-    if not hmac_mod.compare_digest(tag, bytes(blob[mac_pos:])):
-        raise DecodeError(stats)
     if meta.payload_end > mac_pos:
         raise DecodeError(stats)
-    payload_ct = blob[meta.payload_start : meta.payload_end]
-    return PAYLOAD_SCHEMES[meta.payload_scheme_id](key_enc, payload_ct)
+    key_enc, key_mac = derive_payload_keys(session_key, meta.hash_prime_id)
+
+    def tag() -> bytes:
+        return mac_fn(key_mac, blob[:mac_pos])
+
+    def payload() -> bytes:
+        ct = blob[meta.payload_start : meta.payload_end]
+        return PAYLOAD_SCHEMES[meta.payload_scheme_id](key_enc, ct)
+
+    if meta.payload_end - meta.payload_start >= OVERLAP_MIN_PAYLOAD:
+        computed, out = _beside(tag, payload)
+    else:
+        computed, out = tag(), payload()
+    if not hmac_mod.compare_digest(computed, bytes(blob[mac_pos:])):
+        raise DecodeError(stats)
+    return out

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import mmap
 import multiprocessing
 import threading
@@ -14,8 +15,11 @@ from purb.codec import (
     AES256_CTR_SCHEME,
     CHACHA20_SCHEME,
     DecodeError,
+    HMAC_SHA256,
     Identity,
+    MACS,
     Meta,
+    OVERLAP_MIN_PAYLOAD,
     PAYLOAD_SCHEMES,
     Recipient,
     decode,
@@ -375,6 +379,94 @@ class TestEncodeThreads:
                 child.join()
 
 
+def _large_payload(seed):
+    # decodes with the tag on a helper thread
+    return seeded_rng(seed).randbytes(OVERLAP_MIN_PAYLOAD + 1000)
+
+
+class TestDecodeThreads:
+    """A large payload's tag is computed on a helper thread that lives
+    inside one decode, while the calling thread decrypts."""
+
+    @pytest.mark.parametrize(
+        "size, off_thread",
+        [(OVERLAP_MIN_PAYLOAD - 1, False), (OVERLAP_MIN_PAYLOAD, True)],
+        ids=["below", "at"],
+    )
+    def test_mac_thread_follows_threshold(self, keypairs, monkeypatch, size, off_thread):
+        kp = keypairs["B"][0]
+        payload = seeded_rng(80).randbytes(size)
+        blob = encode([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(81))
+        threads = {"mac": [], "cipher": []}
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                threads[name].append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        mac_fn, mac_len = MACS[HMAC_SHA256]
+        cipher = PAYLOAD_SCHEMES[CHACHA20_SCHEME]
+        monkeypatch.setitem(MACS, HMAC_SHA256, (recording("mac", mac_fn), mac_len))
+        monkeypatch.setitem(PAYLOAD_SCHEMES, CHACHA20_SCHEME, recording("cipher", cipher))
+        assert decode(blob, pk_identity(kp))[0] == payload
+        me = threading.get_ident()
+        assert threads["cipher"] == [me]
+        assert len(threads["mac"]) == 1
+        assert (threads["mac"][0] != me) == off_thread
+
+    def test_no_thread_outlives_decode(self, keypairs):
+        kp = keypairs["B"][0]
+        payload = _large_payload(82)
+        blob = encode([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(83))
+        before = threading.active_count()
+        assert decode(blob, pk_identity(kp))[0] == payload
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("side", ["mac", "cipher"])
+    def test_failure_on_either_side_is_uniform(self, keypairs, monkeypatch, side):
+        # The MAC fails on the helper thread, the cipher on the calling
+        # thread while the helper runs.  Either way the caller gets the
+        # bare DecodeError, no thread is left behind, and, with the cycle
+        # collector off, the mmap closes: nothing kept it exported.
+        class Boom(Exception):
+            pass
+
+        def failing(*args, **kwargs):
+            raise Boom
+
+        kp = keypairs["B"][0]
+        buf = _in_mmap(encode([pk_recipient(kp)], _large_payload(84), PadSpec.padme(), seeded_rng(85)))
+        if side == "mac":
+            monkeypatch.setitem(MACS, HMAC_SHA256, (failing, MACS[HMAC_SHA256][1]))
+        else:
+            monkeypatch.setitem(PAYLOAD_SCHEMES, CHACHA20_SCHEME, failing)
+        before = threading.active_count()
+        gc.disable()
+        try:
+            with pytest.raises(DecodeError) as info:
+                decode(buf, pk_identity(kp))
+            assert str(info.value) == "decode failed"
+            assert info.value.__context__ is None
+            assert info.value.__cause__ is None
+            assert threading.active_count() == before
+            del info
+            buf.close()  # raises BufferError if a slice is still alive
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("scheme", [CHACHA20_SCHEME, AES256_CTR_SCHEME])
+    def test_large_round_trip_each_scheme(self, keypairs, scheme):
+        kp = keypairs["D"][0]
+        payload = _large_payload(86)
+        blob = encode(
+            [pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(87),
+            payload_scheme_id=scheme,
+        )
+        assert decode(blob, pk_identity(kp))[0] == payload
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize("alias", list("ABCDEF"))
     def test_each_suite(self, registry, keypairs, alias):
@@ -571,17 +663,6 @@ class TestDecodeFailures:
         assert info.value.__context__ is None
         assert info.value.__cause__ is None
 
-    def test_hardened_mode_same_results(self, keypairs):
-        kp, outsider = keypairs["B"][1], keypairs["B"][2]
-        blob = encode([pk_recipient(kp)], b"hard", PadSpec.padme(), seeded_rng(24))
-        out, stats = decode(blob, pk_identity(kp), hardened=True)
-        assert out == b"hard"
-        # hardened scans every table that fits instead of stopping early
-        _, eager = decode(blob, pk_identity(kp))
-        assert stats.trial_count >= eager.trial_count
-        with pytest.raises(DecodeError):
-            decode(blob, pk_identity(outsider), hardened=True)
-
 
 def _window(blob):
     # a view into a larger buffer, so offsets are not those of the blob
@@ -605,28 +686,38 @@ BUFFER_KINDS = {
 class TestBufferInputs:
     @pytest.mark.parametrize("kind", list(BUFFER_KINDS))
     def test_round_trip_from_buffer(self, keypairs, kind):
+        # The large payload's tag is computed on the helper thread; a
+        # slice still held there would keep the mmap exported.
         kp = keypairs["B"][0]
-        payload = bytes(range(256)) * 3
-        blob = encode([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(70))
-        buf = BUFFER_KINDS[kind](blob)
-        out, _ = decode(buf, pk_identity(kp))
-        assert type(out) is bytes and out == payload
-        if kind == "mmap":
-            buf.close()  # raises BufferError if decode kept an export
+        for payload in (bytes(range(256)) * 3, _large_payload(74)):
+            blob = encode([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(70))
+            buf = BUFFER_KINDS[kind](blob)
+            out, _ = decode(buf, pk_identity(kp))
+            assert type(out) is bytes and out == payload
+            if kind == "mmap":
+                buf.close()  # raises BufferError if decode kept an export
 
-    @pytest.mark.parametrize("hardened", [False, True], ids=["normal", "hardened"])
+    @pytest.mark.parametrize("size", ["normal", "large"])
     @pytest.mark.parametrize("kind", ["bytearray", "memoryview"])
-    def test_tampered_buffers_fail_uniformly(self, keypairs, kind, hardened):
+    def test_tampered_buffers_fail_uniformly(self, keypairs, kind, size):
+        # A large blob's ciphertext is decrypted before its tag is
+        # compared, so a flip there shows that the plaintext is dropped.
         kp = keypairs["B"][0]
-        blob = encode([pk_recipient(kp)], b"buffer", PadSpec.padme(), seeded_rng(71))
+        payload = b"buffer" if size == "normal" else _large_payload(75)
+        blob, report = encode_detailed([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(71))
+        assert report.payload_end < report.mac_pos  # the blob has padding
+        header = (0, 40)
+        ciphertext = (report.payload_start + report.payload_end) // 2
+        padding = (report.payload_end, report.mac_pos - 1)
+        tag = (report.mac_pos, len(blob) - 1)
         flipped = []
-        for pos in (0, 40, len(blob) // 2, len(blob) - 33, len(blob) - 1):
+        for pos in (*header, ciphertext, *padding, *tag):
             tampered = bytearray(blob)
             tampered[pos] ^= 0x10
             flipped.append(bytes(tampered))
         for mutated in [blob[:-1], blob[1:], blob + b"\x00", b"\x00" + blob] + flipped:
             with pytest.raises(DecodeError) as info:
-                decode(BUFFER_KINDS[kind](mutated), pk_identity(kp), hardened=hardened)
+                decode(BUFFER_KINDS[kind](mutated), pk_identity(kp))
             assert str(info.value) == "decode failed"
 
 

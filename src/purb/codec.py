@@ -10,11 +10,17 @@ Encoding takes the KEM in two phases.  The draw phase takes all of its
 randomness on the calling thread, in canonical suite order: one
 ephemeral key pair per public-key suite (keygen), then one salt per
 password suite.  The secret phase draws nothing.  When the blob has
-passphrase recipients, one helper thread, started and joined inside the
-call, runs their scrypt, which releases the GIL, while the calling
-thread unhides the recipient keys and runs the exchanges (encap).  A
-seeded encode therefore gives the same bytes however the threads are
-scheduled, and it may use a second core.
+passphrase recipients, one helper thread runs their scrypt, which
+releases the GIL, while the calling thread unhides the recipient keys
+and runs the exchanges (encap).  Unhiding holds the GIL and stays on
+the calling thread.  A secp256k1 exchange releases it and is long
+enough to pay for a thread, so a suite whose group has parallel_dh and
+SPLIT_MIN_RECIPIENTS recipients or more runs the back half of its
+exchanges on a second helper thread while the calling thread runs the
+front half; X25519 suites, and a k256 suite with one recipient, start
+no thread.  Every helper is started and joined inside the call, and the
+secrets keep recipient order, so a seeded encode gives the same bytes
+however the threads are scheduled, and it may use a second core.
 
 Decoding is trial-based and reports its operation counts; every failure
 mode collapses into the single opaque DecodeError.  For a payload of
@@ -31,7 +37,7 @@ import hmac as hmac_mod
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -58,6 +64,13 @@ MAX_OFFSET = 1 << 48  # payload offsets are 48-bit fields
 # the two break even near 128 KiB when glibc mmaps every buffer of 128 KiB
 # or more, and near 256 KiB under its default, adaptive threshold.
 OVERLAP_MIN_PAYLOAD = 256 << 10
+
+# Encode splits a parallel_dh suite's exchanges across two threads from
+# this many recipients up.  A thread start and join costs about 25 us,
+# and two k256 exchanges took 445 us on one thread against 277 us split
+# (medians, 2 vCPU), so splitting pays from two; one recipient, such as
+# a single key on a small blob, starts no thread.
+SPLIT_MIN_RECIPIENTS = 2
 
 _ZERO_NONCE = b"\x00" * 12  # entry-point keys are single-use per blob
 
@@ -261,12 +274,15 @@ def _beside(background, foreground):
     """Run background() on a helper thread while this thread runs
     foreground(); return both results, background's first.
 
-    Encode runs passphrase scrypt this way beside the public-key work,
-    and decode a large blob's tag beside its decryption: in each pair the
-    background step releases the GIL and the foreground step holds it.
-    The helper is joined before anything leaves this call: an exception
-    on this thread propagates after the join, and one on the helper is
-    raised here.
+    Three callers: encode runs passphrase scrypt this way beside the
+    public-key work, and the back half of a secp256k1 suite's exchanges
+    beside the front half; decode runs a large blob's tag beside its
+    decryption.  In each pair the background step releases the GIL for
+    nearly all of its run; a helper that needs the GIL back often, beside
+    Python-heavy work such as X25519 unhides, would wait out the switch
+    interval after each native call instead.  The helper is joined
+    before anything leaves this call: an exception on this thread
+    propagates after the join, and one on the helper is raised here.
     """
     outcome: list = []
 
@@ -344,15 +360,24 @@ def encode_detailed(
 
     # Secret phase: one shared secret per recipient, no randomness.
     def public_key_secrets() -> dict[int, list[bytes]]:
-        return {
-            suite.suite_id: suites_mod.encap(
-                suite,
-                ephs[suite.suite_id],
-                [suite.group.unhide(m.pubkey) for m in members],
-            )
-            for suite, members in groups
-            if suite.kind == PUBLIC_KEY
-        }
+        result = {}
+        for suite, members in groups:
+            if suite.kind != PUBLIC_KEY:
+                continue
+            eph = ephs[suite.suite_id]
+            points = [suite.group.unhide(m.pubkey) for m in members]
+            if suite.group.parallel_dh and len(points) >= SPLIT_MIN_RECIPIENTS:
+                # Both threads only exchange here, so neither holds the
+                # GIL for long while the other waits for it.
+                h = (len(points) + 1) // 2
+                back, front = _beside(
+                    partial(suites_mod.encap, suite, eph, points[h:]),
+                    partial(suites_mod.encap, suite, eph, points[:h]),
+                )
+                result[suite.suite_id] = front + back
+            else:
+                result[suite.suite_id] = suites_mod.encap(suite, eph, points)
+        return result
 
     def password_secrets() -> dict[int, list[bytes]]:
         return {

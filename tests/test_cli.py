@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from purb import cli
 from purb.cli import main
 from purb.suites import read_public_key, read_secret_key
 
@@ -117,10 +118,15 @@ class TestEncodeDecode:
         header = 96
         assert blob.stat().st_size == header + len(payload) + 32
 
-    def test_dummy_recipients(self, tmp_path, keyfiles, capsys):
-        sk_path, pk_path = keyfiles
+    def encode_with_dummies(self, tmp_path, monkeypatch, alias, key_paths):
+        # Dummy public keys are random strings: no key pair is generated.
+        def no_keygen(*args):
+            raise AssertionError("dummy recipient ran keygen")
+
+        sk_path, pk_path = key_paths
+        monkeypatch.setattr(cli, "keygen", no_keygen)
         rcpt = tmp_path / "r.json"
-        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": open(pk_path).read().strip()}]))
+        rcpt.write_text(json.dumps([{"suite": alias, "pubkey": read_public_key(pk_path).hex()}]))
         msg = tmp_path / "m"
         msg.write_bytes(b"covered")
         blob = tmp_path / "m.purb"
@@ -129,8 +135,16 @@ class TestEncodeDecode:
             "--seed", "cc",
         ) == 0
         dec = tmp_path / "d"
-        assert run("decode", "--key", sk_path, "--suite", "B", "--in", blob, "--out", dec) == 0
+        assert run("decode", "--key", sk_path, "--suite", alias, "--in", blob, "--out", dec) == 0
         assert dec.read_bytes() == b"covered"
+
+    def test_dummy_recipients(self, tmp_path, keyfiles, monkeypatch):
+        self.encode_with_dummies(tmp_path, monkeypatch, "B", keyfiles)
+
+    def test_dummy_recipients_secp256k1(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "alice")
+        assert run("keygen", "--suite", "A", "--out", root, "--seed", "aa") == 0
+        self.encode_with_dummies(tmp_path, monkeypatch, "A", (root + ".sk", root + ".pk"))
 
     def test_report_json_blob_map(self, tmp_path, keyfiles, capsys):
         sk_path, pk_path = keyfiles

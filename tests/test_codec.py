@@ -246,6 +246,25 @@ class TestEncodeBasics:
         for phrase in phrases:
             assert decode(blob, Identity(pw, passphrase=phrase))[0] == payload
 
+    def test_golden_blob_many_k256_recipients(self, registry):
+        # Odd secp256k1 recipient counts: pins the order in which the
+        # secrets of a suite's two exchange halves are joined.
+        import hashlib
+
+        a, b, e, pw = (registry.by_alias(x) for x in ("A", "B", "E", "pw"))
+        key_rng = seeded_rng(b"golden-many-keys")
+        kps = [keygen(s, key_rng) for s in [a] * 5 + [e] * 3 + [b] * 2]
+        rs = [pk_recipient(kp) for kp in kps] + [Recipient.password(pw, b"golden horse")]
+        payload = bytes(range(200))
+        blob = encode(rs, payload, PadSpec.padme(), seeded_rng(b"golden-4"))
+        assert len(blob) == 2048
+        assert hashlib.sha256(blob).hexdigest() == (
+            "6fc22e95d2011e7ed1591231452358a101954ac7a0afea87a7404ddd08ef90de"
+        )
+        for kp in kps:
+            assert decode(blob, pk_identity(kp))[0] == payload
+        assert decode(blob, Identity(pw, passphrase=b"golden horse"))[0] == payload
+
     def test_recipient_order_does_not_change_suite_order(self, registry, keypairs):
         ra = pk_recipient(keypairs["A"][0])
         rb = pk_recipient(keypairs["B"][0])
@@ -310,6 +329,28 @@ def _mixed_recipients(registry, keypairs):
     return rs, Identity(pw, passphrase=b"hunter2")
 
 
+def _k256_recipients(registry, keypairs, count, passphrase):
+    """count suite-A keys, two suite-B keys, and maybe one passphrase."""
+    rs = [pk_recipient(kp) for kp in keypairs["A"][:count] + keypairs["B"][:2]]
+    if passphrase:
+        rs.append(Recipient.password(registry.by_alias("pw"), b"hunter2"))
+    return rs
+
+
+def _dh_threads(monkeypatch):
+    """Record the thread of every exchange, per group name."""
+    threads = {"k256": [], "x25519": []}
+    for group in (suites_mod.Secp256k1Group, suites_mod.Curve25519Group):
+        real = group.dh
+
+        def recording(self, *args, real=real):
+            threads[self.name].append(threading.get_ident())
+            return real(self, *args)
+
+        monkeypatch.setattr(group, "dh", recording)
+    return threads
+
+
 def _roundtrip_or_exit(recipients, identity, payload):
     blob = encode(recipients, payload, PadSpec.padme(), seeded_rng(12))
     if decode(blob, identity)[0] != payload:
@@ -317,7 +358,8 @@ def _roundtrip_or_exit(recipients, identity, payload):
 
 
 class TestEncodeThreads:
-    """Passphrase scrypt runs on a helper thread that lives inside one encode."""
+    """Passphrase scrypt, and the back half of a secp256k1 suite's
+    exchanges, run on helper threads that live inside one encode."""
 
     def test_password_secret_runs_off_calling_thread(self, registry, keypairs, monkeypatch):
         rs, identity = _mixed_recipients(registry, keypairs)
@@ -358,6 +400,51 @@ class TestEncodeThreads:
         before = threading.active_count()
         with pytest.raises(Boom):
             encode(rs, b"m", PadSpec.padme(), seeded_rng(15))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_k256_exchanges_split_from_two_recipients(self, registry, keypairs, monkeypatch, count):
+        threads = _dh_threads(monkeypatch)
+        rs = _k256_recipients(registry, keypairs, count, passphrase=False)
+        blob = encode(rs, b"split", PadSpec.padme(), seeded_rng(16))
+        me = threading.get_ident()
+        assert len(threads["k256"]) == count
+        assert me in threads["k256"]
+        assert len(set(threads["k256"])) == (2 if count >= 2 else 1)
+        assert threads["x25519"] == [me, me]
+        monkeypatch.undo()
+        for kp in keypairs["A"][:count]:
+            assert decode(blob, pk_identity(kp))[0] == b"split"
+
+    @pytest.mark.parametrize("passphrase", [False, True], ids=["keys", "keys+pw"])
+    def test_no_thread_outlives_split_encode(self, registry, keypairs, passphrase):
+        rs = _k256_recipients(registry, keypairs, 3, passphrase)
+        before = threading.active_count()
+        blob = encode(rs, b"joined", PadSpec.padme(), seeded_rng(17))
+        assert threading.active_count() == before
+        assert decode(blob, pk_identity(keypairs["A"][2]))[0] == b"joined"
+
+    @pytest.mark.parametrize("passphrase", [False, True], ids=["keys", "keys+pw"])
+    @pytest.mark.parametrize("side", ["helper", "caller"])
+    def test_split_exchange_failure_joins_helper(self, registry, keypairs, monkeypatch, side, passphrase):
+        # A k256 exchange fails only on the helper thread, or only on the
+        # calling thread while the helper runs the other half.
+        class Boom(Exception):
+            pass
+
+        me = threading.get_ident()
+        real = suites_mod.Secp256k1Group.dh
+
+        def failing(self, *args):
+            if (threading.get_ident() == me) == (side == "caller"):
+                raise Boom
+            return real(self, *args)
+
+        monkeypatch.setattr(suites_mod.Secp256k1Group, "dh", failing)
+        rs = _k256_recipients(registry, keypairs, 4, passphrase)
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            encode(rs, b"m", PadSpec.padme(), seeded_rng(18))
         assert threading.active_count() == before
 
     def test_encode_in_forked_child(self, registry, keypairs):

@@ -13,7 +13,6 @@ from .codec import (
     Meta,
     Recipient,
     decode,
-    encode,
     encode_detailed,
 )
 from .padding import PadSpec, leakage_bits, overhead, padme_len
@@ -44,7 +43,6 @@ __all__ = [
     "decode",
     "default_registry",
     "encap",
-    "encode",
     "encode_detailed",
     "keygen",
     "leakage_bits",

@@ -14,7 +14,6 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from .padding import PadSpec
 
@@ -151,13 +150,6 @@ def write_csv(reports: list[AnonymityReport], path: str) -> None:
             )
 
 
-def sample_dataset() -> SizeDataset:
-    """The small file-size sample shipped with the package."""
-    data = resources.files("purb.data").joinpath("sample_sizes.txt").read_text()
-    sizes = [int(line) for line in data.split()]
-    return SizeDataset(name="sample", sizes=sizes)
-
-
 def log_uniform_sizes(
     count: int, lo: int = 1024, hi: int = 2**30, seed: int = 0
 ) -> SizeDataset:
@@ -170,17 +162,3 @@ def log_uniform_sizes(
     ]
     return SizeDataset(name=f"log-uniform[{lo},{hi}]", sizes=sizes)
 
-
-def zipf_sizes(
-    count: int, alpha: float = 1.3, max_size: int = 2**26, seed: int = 0
-) -> SizeDataset:
-    """Synthetic heavy-tailed sizes: many small objects, few huge ones."""
-    rnd = random.Random(seed)
-    sizes = []
-    while len(sizes) < count:
-        # Inverse-transform sample from a truncated Pareto tail.
-        u = rnd.random()
-        s = int((1 - u) ** (-1.0 / (alpha - 1.0)))
-        if 1 <= s <= max_size:
-            sizes.append(s)
-    return SizeDataset(name=f"zipf[{alpha}]", sizes=sizes)

@@ -189,14 +189,13 @@ def cmd_decode(args) -> int:
         print(f"error: {rejected}", file=sys.stderr)
         return 2
 
-    exp = trials = tables = 0
+    exp = trials = 0
     for ident in identities:
         try:
             payload, stats = decode(blob, ident)
         except DecodeError as e:
             exp += e.stats.exp_count
             trials += e.stats.trial_count
-            tables += e.stats.tables_scanned
             continue
         try:
             with open(args.out, "wb") as f:
@@ -207,8 +206,7 @@ def cmd_decode(args) -> int:
         if args.stats:
             print(
                 f"exp_count={exp + stats.exp_count} "
-                f"trial_count={trials + stats.trial_count} "
-                f"tables_scanned={tables + stats.tables_scanned}"
+                f"trial_count={trials + stats.trial_count}"
             )
         return 0
     print("decode failed")

@@ -4,7 +4,10 @@ An encoded blob carries, with no cleartext structure: one hidden
 ephemeral key (or salt) per suite at XOR-masked standard positions, one
 AEAD-sealed entry point per recipient in expanding hash tables, the
 stream-encrypted payload, random padding to a permitted length, and a
-trailing MAC over everything before it.
+trailing MAC over everything before it.  There is one configuration:
+the payload is ChaCha20, the MAC HMAC-SHA256 and the payload-key hash
+SHA-256.  Each entry point's meta names them with the ids 01 01 01, and
+a meta with any other ids fails decode.
 
 Encoding takes the KEM in two phases.  The draw phase takes all of its
 randomness on the calling thread, in canonical suite order: one
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from . import layout as layout_mod
 from . import suites as suites_mod
@@ -75,56 +78,43 @@ SPLIT_MIN_RECIPIENTS = 2
 _ZERO_NONCE = b"\x00" * 12  # entry-point keys are single-use per blob
 
 
-def _keystream_xor(cipher: Cipher, data, out):
-    enc = cipher.encryptor()
+# The one configuration, named by the ids 01 01 01 in every meta: a
+# ChaCha20 payload, an HMAC-SHA256 tag and SHA-256 payload keys.
+CHACHA20_SCHEME = 0x01
+HMAC_SHA256 = 0x01
+SHA256_PRIME = 0x01
+_META_PREFIX = bytes([CHACHA20_SCHEME, HMAC_SHA256, SHA256_PRIME, 0])
+
+
+def _chacha20_stream(key: bytes, data, out=None):
+    # Keystream XOR, so ciphertext length equals plaintext length and the
+    # same call decrypts; integrity comes from the global MAC.  Takes any
+    # bytes-like input and returns bytes, or, given an `out` buffer of
+    # exactly len(data) bytes, writes into it and returns it.
+    enc = Cipher(algorithms.ChaCha20(key, b"\x00" * 16), mode=None).encryptor()
     if out is None:
         return enc.update(data)
     enc.update_into(data, out)
     return out
 
 
-def _chacha20_stream(key: bytes, data, out=None):
-    cipher = Cipher(algorithms.ChaCha20(key, b"\x00" * 16), mode=None)
-    return _keystream_xor(cipher, data, out)
-
-
-def _aes256_ctr(key: bytes, data, out=None):
-    cipher = Cipher(algorithms.AES(key), modes.CTR(b"\x00" * 16))
-    return _keystream_xor(cipher, data, out)
-
-
-# Payload schemes are keystream XOR, so ciphertext length equals plaintext
-# length and the same call decrypts; integrity comes from the global MAC.
-# Each takes any bytes-like input and returns bytes, or, given an `out`
-# buffer of exactly len(data) bytes, writes into it and returns it.
-PAYLOAD_SCHEMES = {
-    0x01: _chacha20_stream,
-    0x02: _aes256_ctr,
-}
-
-CHACHA20_SCHEME = 0x01
-AES256_CTR_SCHEME = 0x02
-
-
 def _hmac_sha256(key: bytes, data: bytes) -> bytes:
     return hmac_mod.new(key, data, hashlib.sha256).digest()
 
 
-MACS = {0x01: (_hmac_sha256, 32)}
-HMAC_SHA256 = 0x01
-
-HASH_PRIMES = {0x01: hashlib.sha256, 0x02: hashlib.sha3_256}
-SHA256_PRIME = 0x01
-SHA3_256_PRIME = 0x02
+# Looked up at call time: benchmark tracing and tests wrap these entries.
+PAYLOAD_SCHEMES = {CHACHA20_SCHEME: _chacha20_stream}
+MACS = {HMAC_SHA256: (_hmac_sha256, 32)}
 
 
 @dataclass(frozen=True)
 class Meta:
-    """Per-blob metadata carried inside every entry point; 16 bytes."""
+    """Per-blob metadata carried inside every entry point; 16 bytes.
 
-    payload_scheme_id: int
-    mac_id: int
-    hash_prime_id: int
+    The first three bytes name the payload scheme, MAC and hash; they are
+    always 01 01 01, and unpack rejects any other ids.
+    """
+
     payload_start: int
     payload_end: int
 
@@ -132,7 +122,7 @@ class Meta:
         if not 0 <= self.payload_start <= self.payload_end < MAX_OFFSET:
             raise ValueError("payload offsets out of range")
         return (
-            bytes([self.payload_scheme_id, self.mac_id, self.hash_prime_id, 0])
+            _META_PREFIX
             + self.payload_start.to_bytes(6, "big")
             + self.payload_end.to_bytes(6, "big")
         )
@@ -141,10 +131,9 @@ class Meta:
     def unpack(cls, data: bytes) -> "Meta":
         if len(data) != META_LEN:
             raise ValueError("meta must be 16 bytes")
+        if data[:3] != _META_PREFIX[:3]:
+            raise ValueError("unknown scheme ids")
         meta = cls(
-            payload_scheme_id=data[0],
-            mac_id=data[1],
-            hash_prime_id=data[2],
             payload_start=int.from_bytes(data[4:10], "big"),
             payload_end=int.from_bytes(data[10:16], "big"),
         )
@@ -197,7 +186,6 @@ class Identity:
 class DecodeStats:
     exp_count: int = 0
     trial_count: int = 0
-    tables_scanned: int = 0
 
 
 @dataclass
@@ -231,11 +219,9 @@ def derive_entry_keys(k: bytes, suite: SuiteSpec) -> tuple[bytes, int]:
     return z, p
 
 
-def derive_payload_keys(session_key: bytes, hash_prime_id: int) -> tuple[bytes, bytes]:
+def derive_payload_keys(session_key: bytes) -> tuple[bytes, bytes]:
     """Independent payload-encryption and MAC keys from the session key."""
-    if hash_prime_id not in HASH_PRIMES:
-        raise ValueError(f"unknown hash id {hash_prime_id}")
-    h = HASH_PRIMES[hash_prime_id]
+    h = hashlib.sha256
     return h(b"enc" + session_key).digest(), h(b"mac" + session_key).digest()
 
 
@@ -309,20 +295,11 @@ def _beside(background, foreground):
     return back, front
 
 
-def encode(*args, **kwargs) -> bytes:
-    """encode_detailed without the report: same arguments, returns the blob."""
-    return encode_detailed(*args, **kwargs)[0]
-
-
 def encode_detailed(
     recipients: list[Recipient],
     payload: bytes,
     pad: PadSpec | None = None,
     rng: RandomSource | None = None,
-    *,
-    payload_scheme_id: int = CHACHA20_SCHEME,
-    mac_id: int = HMAC_SHA256,
-    hash_prime_id: int = SHA256_PRIME,
 ) -> tuple[bytes, EncodeReport]:
     """Encode a payload for a set of recipients; see module docstring.
 
@@ -334,10 +311,6 @@ def encode_detailed(
         raise ValueError("recipient list is empty")
     if len(payload) >= MAX_OFFSET:
         raise ValueError("payload too large for 48-bit offsets")
-    if payload_scheme_id not in PAYLOAD_SCHEMES:
-        raise ValueError(f"unknown payload scheme {payload_scheme_id}")
-    if mac_id not in MACS:
-        raise ValueError(f"unknown mac id {mac_id}")
     pad = pad or PadSpec.padme()
     rng = rng or system_rng()
     registry = default_registry()
@@ -410,18 +383,12 @@ def encode_detailed(
         for suite, zps in entry_keys
     ]
     hdr.fill_random(rng)
-    mac_fn, mac_len = MACS[mac_id]
+    mac_fn, mac_len = MACS[HMAC_SHA256]
     plan = hdr.finalize_lengths(len(payload), mac_len, pad)
 
-    key_enc, key_mac = derive_payload_keys(session_key, hash_prime_id)
+    key_enc, key_mac = derive_payload_keys(session_key)
 
-    meta = Meta(
-        payload_scheme_id=payload_scheme_id,
-        mac_id=mac_id,
-        hash_prime_id=hash_prime_id,
-        payload_start=plan.payload_start,
-        payload_end=plan.payload_end,
-    )
+    meta = Meta(payload_start=plan.payload_start, payload_end=plan.payload_end)
     plain = session_key + meta.pack()
     for (suite, zps), slots in zip(entry_keys, slots_per_suite):
         for (z, _), slot in zip(zps, slots):
@@ -431,7 +398,7 @@ def encode_detailed(
     with memoryview(blob) as view:
         # The ciphertext goes in before the XOR step: a suite's key
         # positions may fall inside the payload region.
-        PAYLOAD_SCHEMES[payload_scheme_id](
+        PAYLOAD_SCHEMES[CHACHA20_SCHEME](
             key_enc, payload, out=view[plan.payload_start : plan.payload_end]
         )
         for suite, tau in taus:
@@ -467,7 +434,8 @@ def decode(blob, identity: Identity) -> tuple[bytes, DecodeStats]:
     suite carries everything a decoder needs; no registry, version
     field, or other cleartext marker is consulted.  Returns the payload
     as bytes and operation counts, or raises DecodeError; all failure
-    modes are indistinguishable from the caller's point of view.  The
+    modes, a meta naming scheme ids other than 01 01 01 among them, are
+    indistinguishable from the caller's point of view.  The
     scan stops at the first entry point that opens, so decode time
     depends on membership and on blob length.  A payload of
     OVERLAP_MIN_PAYLOAD bytes or more is decrypted on the calling thread
@@ -507,7 +475,6 @@ def _decode(blob: memoryview, identity: Identity, stats: DecodeStats) -> bytes:
         end = start + ep_len
         if end > len(blob):
             raise DecodeError(stats)
-        stats.tables_scanned += 1
         stats.trial_count += 1
         plain = open_entry_point(suite, z, blob[start:end])
         ht_pos += ht_len * ep_len
@@ -515,22 +482,20 @@ def _decode(blob: memoryview, identity: Identity, stats: DecodeStats) -> bytes:
 
     session_key = plain[:SESSION_KEY_LEN]
     meta = Meta.unpack(plain[SESSION_KEY_LEN:])
-    if meta.payload_scheme_id not in PAYLOAD_SCHEMES or meta.mac_id not in MACS:
-        raise DecodeError(stats)
-    mac_fn, mac_len = MACS[meta.mac_id]
+    mac_fn, mac_len = MACS[HMAC_SHA256]
     if mac_len >= len(blob):
         raise DecodeError(stats)
     mac_pos = len(blob) - mac_len
     if meta.payload_end > mac_pos:
         raise DecodeError(stats)
-    key_enc, key_mac = derive_payload_keys(session_key, meta.hash_prime_id)
+    key_enc, key_mac = derive_payload_keys(session_key)
 
     def tag() -> bytes:
         return mac_fn(key_mac, blob[:mac_pos])
 
     def payload() -> bytes:
         ct = blob[meta.payload_start : meta.payload_end]
-        return PAYLOAD_SCHEMES[meta.payload_scheme_id](key_enc, ct)
+        return PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct)
 
     if meta.payload_end - meta.payload_start >= OVERLAP_MIN_PAYLOAD:
         computed, out = _beside(tag, payload)

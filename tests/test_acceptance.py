@@ -20,7 +20,7 @@ import scipy.stats
 from helpers import padme_worst_overhead
 from strawman import encode_flat, scan_flat
 from purb.analyzer import SizeDataset, log_uniform_sizes, profile
-from purb.codec import DecodeError, Identity, Recipient, decode, encode, encode_detailed
+from purb.codec import DecodeError, Identity, Recipient, decode, encode_detailed
 from purb.layout import xor_extract
 from purb.padding import PadSpec, leakage_bits, padme_len, padme_params
 from purb.rng import seeded_rng
@@ -162,7 +162,7 @@ def test_criterion_5_round_trip_matrix(registry):
             for r in (1, 3, 10, 100):
                 for pi, payload in enumerate(payloads):
                     rng = seeded_rng(b"matrix-%s-%d-%d" % (alias.encode(), r, pi))
-                    blob = encode(recipients[:r], payload, PAD, rng)
+                    blob, _ = encode_detailed(recipients[:r], payload, PAD, rng)
                     for ident in identities[:r]:
                         out, _ = decode(blob, ident)
                         assert out == payload, (alias, r, pi)
@@ -188,7 +188,7 @@ def test_criterion_7_decode_cost(registry):
             rng = seeded_rng(b"cost-%d" % r)
             kps = [keygen(suite, rng) for _ in range(r)]
             recipients = [Recipient.public_key(suite, kp.pk_encoded) for kp in kps]
-            blob = encode(recipients, b"cost", PAD, rng)
+            blob, _ = encode_detailed(recipients, b"cost", PAD, rng)
             trials = []
             for _ in range(100):
                 kp = kps[int.from_bytes(pick.randbytes(4), "big") % r]
@@ -205,7 +205,7 @@ def test_criterion_7_decode_cost(registry):
         recipients = [Recipient.public_key(suite, kp.pk_encoded) for kp in kps]
         outsider = keygen(suite, rng)
         flat_blob, _ = encode_flat(recipients, b"x" * 64, PAD, rng)
-        std_blob = encode(recipients, b"x" * 64, PAD, rng)
+        std_blob, _ = encode_detailed(recipients, b"x" * 64, PAD, rng)
         opened, worst_flat = scan_flat(flat_blob, Identity(suite, secret_key=outsider.sk))
         assert opened is None
         with pytest.raises(DecodeError) as std_fail:
@@ -238,7 +238,7 @@ def test_criterion_8_tamper(registry):
                 Recipient.public_key(suite, other.pk_encoded),
             ]
             payload = bytes([blob_index]) * (40 + 13 * blob_index)
-            blob = encode(recipients, payload, PAD, rng)
+            blob, _ = encode_detailed(recipients, payload, PAD, rng)
             ident = Identity(suite, secret_key=kp.sk)
             decode(blob, ident)  # sanity: untampered blob decodes
             for _ in range(200):
@@ -258,7 +258,7 @@ def test_criterion_9_uniformity_screen(registry):
         recipients = [Recipient.public_key(suite, kp.pk_encoded)]
         payload = b"\x00" * 128  # worst case: all-zero plaintext
         blobs = [
-            encode(recipients, payload, PAD, seeded_rng(b"uni-%d" % i))
+            encode_detailed(recipients, payload, PAD, seeded_rng(b"uni-%d" % i))[0]
             for i in range(1000)
         ]
         assert len({len(b) for b in blobs}) == 1
@@ -285,7 +285,7 @@ def test_criterion_10_length_privacy(registry):
                 rs = [Recipient.public_key(b, kp.pk_encoded)]
                 lengths.append(
                     sorted(
-                        len(encode(rs, payload, PAD, seeded_rng(b"lp1-%d" % s)))
+                        len(encode_detailed(rs, payload, PAD, seeded_rng(b"lp1-%d" % s))[0])
                         for s in range(100)
                     )
                 )
@@ -301,7 +301,7 @@ def test_criterion_10_length_privacy(registry):
             rs += make_members(registry, "A", 2, seed=keyseed + 1)[0]
             multisets.append(
                 sorted(
-                    len(encode(rs, payload, PAD, seeded_rng(b"lp2-%d" % s)))
+                    len(encode_detailed(rs, payload, PAD, seeded_rng(b"lp2-%d" % s))[0])
                     for s in range(100)
                 )
             )

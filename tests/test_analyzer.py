@@ -4,16 +4,13 @@ from fractions import Fraction
 import pytest
 
 from purb.analyzer import (
-    AnonymityReport,
     SizeDataset,
     compare,
     load_sizes,
     log_uniform_sizes,
     profile,
     render_table,
-    sample_dataset,
     write_csv,
-    zipf_sizes,
 )
 from purb.padding import PadSpec
 
@@ -157,19 +154,3 @@ class TestSynthetic:
         ds2 = log_uniform_sizes(500, 2048, 2**20, seed=9)
         assert ds1.sizes == ds2.sizes
         assert all(2048 <= s <= 2**20 for s in ds1.sizes)
-
-    def test_zipf_heavy_tail(self):
-        ds = zipf_sizes(2000, alpha=1.5, max_size=2**22, seed=3)
-        assert len(ds.sizes) == 2000
-        assert all(1 <= s <= 2**22 for s in ds.sizes)
-        # heavy tail: median far below mean
-        ordered = sorted(ds.sizes)
-        median = ordered[len(ordered) // 2]
-        mean = sum(ds.sizes) / len(ds.sizes)
-        assert mean > 2 * median
-
-    def test_sample_dataset_ships(self):
-        ds = sample_dataset()
-        assert len(ds.sizes) == 200
-        report = profile(ds, PadSpec.padme())
-        assert isinstance(report, AnonymityReport)

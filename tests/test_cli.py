@@ -183,7 +183,7 @@ class TestEncodeDecode:
             "--stats",
         ) == 0
         table = geo["suites"][0]["entries"][0]["table"]
-        assert f"trial_count={table + 1} " in capsys.readouterr().out
+        assert f"trial_count={table + 1}\n" in capsys.readouterr().out
 
     def test_seed_determinism(self, tmp_path, keyfiles):
         sk_path, pk_path = keyfiles

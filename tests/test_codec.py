@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import mmap
 import multiprocessing
 import threading
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from helpers import K256_N
 from strawman import encode_flat, scan_flat
 from purb.codec import (
-    AES256_CTR_SCHEME,
     CHACHA20_SCHEME,
     DecodeError,
     HMAC_SHA256,
@@ -25,11 +25,11 @@ from purb.codec import (
     decode,
     derive_entry_keys,
     derive_payload_keys,
-    encode,
     encode_detailed,
     open_entry_point,
     seal_entry_point,
 )
+from purb import codec as codec_mod
 from purb import suites as suites_mod
 from purb.padding import PadSpec
 from purb.rng import seeded_rng
@@ -55,7 +55,7 @@ def pk_identity(kp):
 
 class TestMeta:
     def test_pack_layout(self):
-        meta = Meta(0x01, 0x01, 0x01, 96, 1120)
+        meta = Meta(96, 1120)
         data = meta.pack()
         assert len(data) == 16
         assert data[:4] == b"\x01\x01\x01\x00"
@@ -63,25 +63,33 @@ class TestMeta:
         assert int.from_bytes(data[10:16], "big") == 1120
 
     @given(
-        st.integers(min_value=0, max_value=255),
-        st.integers(min_value=0, max_value=255),
-        st.integers(min_value=0, max_value=255),
         st.integers(min_value=0, max_value=2**48 - 1),
         st.integers(min_value=0, max_value=2**48 - 1),
     )
     @settings(max_examples=100)
-    def test_roundtrip(self, a, b, c, s, e):
+    def test_roundtrip(self, s, e):
         if s > e:
             s, e = e, s
-        meta = Meta(a, b, c, s, e)
+        meta = Meta(s, e)
         assert Meta.unpack(meta.pack()) == meta
+
+    def test_unpack_rejects_other_ids(self):
+        data = Meta(5, 9).pack()
+        for index in range(3):
+            for value in (0x00, 0x02, 0x7F, 0xFF):
+                bad = bytearray(data)
+                bad[index] = value
+                with pytest.raises(ValueError):
+                    Meta.unpack(bytes(bad))
+        # byte 3 is reserved and not checked
+        assert Meta.unpack(data[:3] + b"\xff" + data[4:]) == Meta(5, 9)
 
     def test_offsets_bounded(self):
         with pytest.raises(ValueError):
-            Meta(1, 1, 1, 0, 2**48).pack()
+            Meta(0, 2**48).pack()
 
     def test_unpack_rejects_disorder(self):
-        data = Meta(1, 1, 1, 5, 9).pack()
+        data = Meta(5, 9).pack()
         bad = data[:4] + (9).to_bytes(6, "big") + (5).to_bytes(6, "big")
         with pytest.raises(ValueError):
             Meta.unpack(bad)
@@ -113,18 +121,10 @@ class TestDerivations:
         assert derive_entry_keys(b"k" * 32, b) == derive_entry_keys(b"k" * 32, b)
 
     def test_payload_keys_golden(self):
-        k_enc, k_mac = derive_payload_keys(b"\x00" * 32, 0x01)
+        k_enc, k_mac = derive_payload_keys(b"\x00" * 32)
         assert k_enc.hex() == GOLDEN_KENC_ZERO
         assert k_mac.hex() == GOLDEN_KMAC_ZERO
         assert k_enc != k_mac
-
-    def test_payload_keys_unknown_hash(self):
-        with pytest.raises(ValueError):
-            derive_payload_keys(b"\x00" * 32, 0x7F)
-
-    def test_different_hash_ids_give_different_keys(self):
-        k = b"\x33" * 32
-        assert derive_payload_keys(k, 0x01) != derive_payload_keys(k, 0x02)
 
 
 class TestEntryPointSealing:
@@ -156,14 +156,14 @@ class TestEntryPointSealing:
 class TestEncodeBasics:
     def test_empty_recipients_rejected(self):
         with pytest.raises(ValueError):
-            encode([], b"x", PadSpec.padme(), seeded_rng(1))
+            encode_detailed([], b"x", PadSpec.padme(), seeded_rng(1))
 
     def test_unregistered_suite_rejected(self, registry, keypairs):
         foreign = keypairs["B"][0]
         clone = type(foreign.suite)(**{**foreign.suite.__dict__, "suite_id": 77, "order_index": 77})
         rec = Recipient(clone, pubkey=foreign.pk_encoded)
         with pytest.raises(ValueError, match="suite B not in registry"):
-            encode([rec], b"x", PadSpec.padme(), seeded_rng(2))
+            encode_detailed([rec], b"x", PadSpec.padme(), seeded_rng(2))
 
     def test_equal_suite_copy_rejected(self, keypairs):
         # Membership is by identity: an equal copy is not the registered suite.
@@ -172,7 +172,7 @@ class TestEncodeBasics:
         assert clone == kp.suite and clone is not kp.suite
         rec = Recipient(clone, pubkey=kp.pk_encoded)
         with pytest.raises(ValueError, match="suite B not in registry"):
-            encode([rec], b"x", PadSpec.padme(), seeded_rng(2))
+            encode_detailed([rec], b"x", PadSpec.padme(), seeded_rng(2))
 
     def test_single_recipient_header_compact(self, registry, keypairs):
         kp = keypairs["B"][0]
@@ -187,20 +187,18 @@ class TestEncodeBasics:
 
     def test_deterministic_with_seed(self, keypairs):
         rs = [pk_recipient(keypairs["B"][0])]
-        b1 = encode(rs, b"abc", PadSpec.padme(), seeded_rng(4))
-        b2 = encode(rs, b"abc", PadSpec.padme(), seeded_rng(4))
+        b1, _ = encode_detailed(rs, b"abc", PadSpec.padme(), seeded_rng(4))
+        b2, _ = encode_detailed(rs, b"abc", PadSpec.padme(), seeded_rng(4))
         assert b1 == b2
 
     def test_golden_blobs(self, registry):
         # Pins the whole wire format, including the order randomness is
         # consumed in; any change to the blob geometry breaks this loudly.
-        import hashlib
-
         b, a, pw = (registry.by_alias(x) for x in ("B", "A", "pw"))
         kp_b = keygen(b, seeded_rng(b"golden-key-b"))
         kp_a = keygen(a, seeded_rng(b"golden-key-a"))
 
-        blob1 = encode(
+        blob1, _ = encode_detailed(
             [Recipient.public_key(b, kp_b.pk_encoded)],
             b"golden payload", PadSpec.padme(), seeded_rng(b"golden-1"),
         )
@@ -214,7 +212,7 @@ class TestEncodeBasics:
             Recipient.public_key(b, kp_b.pk_encoded),
             Recipient.password(pw, b"golden horse"),
         ]
-        blob2 = encode(rs, bytes(range(200)), PadSpec.padme(), seeded_rng(b"golden-2"))
+        blob2, _ = encode_detailed(rs, bytes(range(200)), PadSpec.padme(), seeded_rng(b"golden-2"))
         assert len(blob2) == 928
         assert hashlib.sha256(blob2).hexdigest() == (
             "c718ebde09d5de770d9cbfbf77cb2d4fcb3d7eb4af1766af192b3c629f0d19b3"
@@ -224,8 +222,6 @@ class TestEncodeBasics:
         # Several passphrases: pins the salt draw among the ephemeral
         # keys and the order in which the passphrase secrets come back
         # from the helper thread.
-        import hashlib
-
         b, a, pw = (registry.by_alias(x) for x in ("B", "A", "pw"))
         kp_b = keygen(b, seeded_rng(b"golden-key-b"))
         kp_a = keygen(a, seeded_rng(b"golden-key-a"))
@@ -238,7 +234,7 @@ class TestEncodeBasics:
             Recipient.password(pw, phrases[2]),
         ]
         payload = bytes(range(200))
-        blob = encode(rs, payload, PadSpec.padme(), seeded_rng(b"golden-3"))
+        blob, _ = encode_detailed(rs, payload, PadSpec.padme(), seeded_rng(b"golden-3"))
         assert len(blob) == 2176
         assert hashlib.sha256(blob).hexdigest() == (
             "96f5879a9f60efaa25df390586825184f468b125ea07a7e04c43ba80b6ff1b57"
@@ -249,14 +245,12 @@ class TestEncodeBasics:
     def test_golden_blob_many_k256_recipients(self, registry):
         # Odd secp256k1 recipient counts: pins the order in which the
         # secrets of a suite's two exchange halves are joined.
-        import hashlib
-
         a, b, e, pw = (registry.by_alias(x) for x in ("A", "B", "E", "pw"))
         key_rng = seeded_rng(b"golden-many-keys")
         kps = [keygen(s, key_rng) for s in [a] * 5 + [e] * 3 + [b] * 2]
         rs = [pk_recipient(kp) for kp in kps] + [Recipient.password(pw, b"golden horse")]
         payload = bytes(range(200))
-        blob = encode(rs, payload, PadSpec.padme(), seeded_rng(b"golden-4"))
+        blob, _ = encode_detailed(rs, payload, PadSpec.padme(), seeded_rng(b"golden-4"))
         assert len(blob) == 2048
         assert hashlib.sha256(blob).hexdigest() == (
             "6fc22e95d2011e7ed1591231452358a101954ac7a0afea87a7404ddd08ef90de"
@@ -276,8 +270,8 @@ class TestEncodeBasics:
 
     def test_same_bucket_same_length(self, keypairs):
         rs = [pk_recipient(keypairs["B"][0])]
-        b1 = encode(rs, b"\x00" * 900, PadSpec.padme(), seeded_rng(6))
-        b2 = encode(rs, b"\x00" * 950, PadSpec.padme(), seeded_rng(7))
+        b1, _ = encode_detailed(rs, b"\x00" * 900, PadSpec.padme(), seeded_rng(6))
+        b2, _ = encode_detailed(rs, b"\x00" * 950, PadSpec.padme(), seeded_rng(7))
         assert len(b1) == len(b2)
 
     def test_hundred_recipients_three_suites(self, registry, keypairs):
@@ -309,14 +303,9 @@ class TestEncodeBasics:
                 return 2**48
 
         with pytest.raises(ValueError):
-            encode([pk_recipient(keypairs["B"][0])], FakeBytes(), PadSpec.padme(), seeded_rng(10))
-
-    def test_unknown_scheme_ids_rejected(self, keypairs):
-        rs = [pk_recipient(keypairs["B"][0])]
-        with pytest.raises(ValueError):
-            encode(rs, b"x", PadSpec.padme(), seeded_rng(11), payload_scheme_id=0x7F)
-        with pytest.raises(ValueError):
-            encode(rs, b"x", PadSpec.padme(), seeded_rng(11), mac_id=0x7F)
+            encode_detailed(
+                [pk_recipient(keypairs["B"][0])], FakeBytes(), PadSpec.padme(), seeded_rng(10)
+            )
 
 
 def _mixed_recipients(registry, keypairs):
@@ -352,7 +341,7 @@ def _dh_threads(monkeypatch):
 
 
 def _roundtrip_or_exit(recipients, identity, payload):
-    blob = encode(recipients, payload, PadSpec.padme(), seeded_rng(12))
+    blob, _ = encode_detailed(recipients, payload, PadSpec.padme(), seeded_rng(12))
     if decode(blob, identity)[0] != payload:
         raise SystemExit(1)
 
@@ -371,7 +360,7 @@ class TestEncodeThreads:
             return real(*args)
 
         monkeypatch.setattr(suites_mod, "password_secret", recording)
-        blob = encode(rs, b"off-thread", PadSpec.padme(), seeded_rng(13))
+        blob, _ = encode_detailed(rs, b"off-thread", PadSpec.padme(), seeded_rng(13))
         assert len(threads) == 1
         assert threads[0] != threading.get_ident()
         monkeypatch.undo()
@@ -380,7 +369,7 @@ class TestEncodeThreads:
     def test_no_thread_outlives_encode(self, registry, keypairs):
         rs, identity = _mixed_recipients(registry, keypairs)
         before = threading.active_count()
-        blob = encode(rs, b"joined", PadSpec.padme(), seeded_rng(14))
+        blob, _ = encode_detailed(rs, b"joined", PadSpec.padme(), seeded_rng(14))
         assert threading.active_count() == before
         assert decode(blob, identity)[0] == b"joined"
 
@@ -399,14 +388,14 @@ class TestEncodeThreads:
         monkeypatch.setattr(suites_mod, target, failing)
         before = threading.active_count()
         with pytest.raises(Boom):
-            encode(rs, b"m", PadSpec.padme(), seeded_rng(15))
+            encode_detailed(rs, b"m", PadSpec.padme(), seeded_rng(15))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_k256_exchanges_split_from_two_recipients(self, registry, keypairs, monkeypatch, count):
         threads = _dh_threads(monkeypatch)
         rs = _k256_recipients(registry, keypairs, count, passphrase=False)
-        blob = encode(rs, b"split", PadSpec.padme(), seeded_rng(16))
+        blob, _ = encode_detailed(rs, b"split", PadSpec.padme(), seeded_rng(16))
         me = threading.get_ident()
         assert len(threads["k256"]) == count
         assert me in threads["k256"]
@@ -420,7 +409,7 @@ class TestEncodeThreads:
     def test_no_thread_outlives_split_encode(self, registry, keypairs, passphrase):
         rs = _k256_recipients(registry, keypairs, 3, passphrase)
         before = threading.active_count()
-        blob = encode(rs, b"joined", PadSpec.padme(), seeded_rng(17))
+        blob, _ = encode_detailed(rs, b"joined", PadSpec.padme(), seeded_rng(17))
         assert threading.active_count() == before
         assert decode(blob, pk_identity(keypairs["A"][2]))[0] == b"joined"
 
@@ -444,7 +433,7 @@ class TestEncodeThreads:
         rs = _k256_recipients(registry, keypairs, 4, passphrase)
         before = threading.active_count()
         with pytest.raises(Boom):
-            encode(rs, b"m", PadSpec.padme(), seeded_rng(18))
+            encode_detailed(rs, b"m", PadSpec.padme(), seeded_rng(18))
         assert threading.active_count() == before
 
     def test_encode_in_forked_child(self, registry, keypairs):
@@ -483,7 +472,7 @@ class TestDecodeThreads:
     def test_mac_thread_follows_threshold(self, keypairs, monkeypatch, size, off_thread):
         kp = keypairs["B"][0]
         payload = seeded_rng(80).randbytes(size)
-        blob = encode([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(81))
+        blob, _ = encode_detailed([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(81))
         threads = {"mac": [], "cipher": []}
 
         def recording(name, fn):
@@ -506,7 +495,7 @@ class TestDecodeThreads:
     def test_no_thread_outlives_decode(self, keypairs):
         kp = keypairs["B"][0]
         payload = _large_payload(82)
-        blob = encode([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(83))
+        blob, _ = encode_detailed([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(83))
         before = threading.active_count()
         assert decode(blob, pk_identity(kp))[0] == payload
         assert threading.active_count() == before
@@ -524,7 +513,8 @@ class TestDecodeThreads:
             raise Boom
 
         kp = keypairs["B"][0]
-        buf = _in_mmap(encode([pk_recipient(kp)], _large_payload(84), PadSpec.padme(), seeded_rng(85)))
+        blob, _ = encode_detailed([pk_recipient(kp)], _large_payload(84), PadSpec.padme(), seeded_rng(85))
+        buf = _in_mmap(blob)
         if side == "mac":
             monkeypatch.setitem(MACS, HMAC_SHA256, (failing, MACS[HMAC_SHA256][1]))
         else:
@@ -543,14 +533,11 @@ class TestDecodeThreads:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("scheme", [CHACHA20_SCHEME, AES256_CTR_SCHEME])
+    @pytest.mark.parametrize("scheme", [CHACHA20_SCHEME])
     def test_large_round_trip_each_scheme(self, keypairs, scheme):
         kp = keypairs["D"][0]
         payload = _large_payload(86)
-        blob = encode(
-            [pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(87),
-            payload_scheme_id=scheme,
-        )
+        blob, _ = encode_detailed([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(87))
         assert decode(blob, pk_identity(kp))[0] == payload
 
 
@@ -559,14 +546,14 @@ class TestRoundTrips:
     def test_each_suite(self, registry, keypairs, alias):
         kp = keypairs[alias][0]
         payload = b"per-suite payload"
-        blob = encode([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(12))
+        blob, _ = encode_detailed([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(12))
         out, stats = decode(blob, pk_identity(kp))
         assert out == payload
         assert stats.exp_count == 1
 
     def test_password_recipient(self, registry):
         pw = registry.by_alias("pw")
-        blob = encode(
+        blob, _ = encode_detailed(
             [Recipient.password(pw, b"correct horse")],
             b"pw payload",
             PadSpec.padme(),
@@ -594,39 +581,27 @@ class TestRoundTrips:
         recipients = [pk_recipient(kp) for kp in members]
         recipients.append(Recipient.password(pw, b"pass1"))
         payload = b"all aboard"
-        blob = encode(recipients, payload, PadSpec.padme(), seeded_rng(14))
+        blob, _ = encode_detailed(recipients, payload, PadSpec.padme(), seeded_rng(14))
         for kp in members:
             out, _ = decode(blob, pk_identity(kp))
             assert out == payload
         out, _ = decode(blob, Identity(pw, passphrase=b"pass1"))
         assert out == payload
 
-    @pytest.mark.parametrize("scheme", [CHACHA20_SCHEME, AES256_CTR_SCHEME])
+    @pytest.mark.parametrize("scheme", [CHACHA20_SCHEME])
     def test_payload_schemes(self, keypairs, scheme):
         kp = keypairs["D"][0]
         payload = bytes(range(256)) * 4
-        blob = encode(
-            [pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(15),
-            payload_scheme_id=scheme,
-        )
+        blob, _ = encode_detailed([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(15))
         out, _ = decode(blob, pk_identity(kp))
         assert out == payload
-
-    def test_alternate_hash_id_recorded_and_honored(self, keypairs):
-        kp = keypairs["B"][0]
-        blob = encode(
-            [pk_recipient(kp)], b"h3", PadSpec.padme(), seeded_rng(26),
-            hash_prime_id=0x02,
-        )
-        out, _ = decode(blob, pk_identity(kp))
-        assert out == b"h3"
 
     @pytest.mark.parametrize("padname", ["padme", "next2", "block:512", "none"])
     def test_pad_specs(self, keypairs, padname):
         kp = keypairs["B"][1]
         pad = PadSpec.from_string(padname)
         payload = b"\x42" * 777
-        blob = encode([pk_recipient(kp)], payload, pad, seeded_rng(16))
+        blob, _ = encode_detailed([pk_recipient(kp)], payload, pad, seeded_rng(16))
         assert len(blob) == pad.pad_len(len(blob))  # total length is a fixed point
         out, _ = decode(blob, pk_identity(kp))
         assert out == payload
@@ -643,13 +618,13 @@ class TestRoundTrips:
                 report.payload_start,
                 report.payload_end,
             )
-            key_enc, _ = derive_payload_keys(plain[:32], meta.hash_prime_id)
+            key_enc, _ = derive_payload_keys(plain[:32])
             ct = blob[meta.payload_start : meta.payload_end]
-            assert PAYLOAD_SCHEMES[meta.payload_scheme_id](key_enc, ct) == b"flat"
+            assert PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct) == b"flat"
 
     def test_empty_payload(self, keypairs):
         kp = keypairs["B"][2]
-        blob = encode([pk_recipient(kp)], b"", PadSpec.padme(), seeded_rng(18))
+        blob, _ = encode_detailed([pk_recipient(kp)], b"", PadSpec.padme(), seeded_rng(18))
         out, _ = decode(blob, pk_identity(kp))
         assert out == b""
 
@@ -673,7 +648,7 @@ class TestRoundTrips:
                         kp = keypairs[alias][0]
                         recipients.append(pk_recipient(kp))
                         identities.append(pk_identity(kp))
-                blob = encode(
+                blob, _ = encode_detailed(
                     recipients, payload, PadSpec.padme(),
                     seeded_rng(b"subset-" + "".join(combo).encode()),
                 )
@@ -685,17 +660,49 @@ class TestRoundTrips:
 class TestDecodeFailures:
     def test_non_recipient_uniform_error(self, keypairs):
         kp, outsider = keypairs["B"][0], keypairs["B"][3]
-        blob = encode([pk_recipient(kp)], b"secret", PadSpec.padme(), seeded_rng(19))
+        blob, _ = encode_detailed([pk_recipient(kp)], b"secret", PadSpec.padme(), seeded_rng(19))
         with pytest.raises(DecodeError) as info:
             decode(blob, pk_identity(outsider))
         assert str(info.value) == "decode failed"
         assert info.value.stats.exp_count == 1
-        assert info.value.stats.trial_count <= info.value.stats.tables_scanned
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [(0, 0x02), (2, 0x02), (1, 0x7F)],
+        ids=["payload-aes-ctr", "hash-sha3", "mac-7f"],
+    )
+    def test_other_scheme_ids_fail_uniformly(self, keypairs, monkeypatch, index, value):
+        # The entry point opens, but its meta names another payload
+        # scheme, hash or MAC.  The hash case derives the payload keys
+        # with SHA3-256, as a blob that really used it would.
+        real_pack = Meta.pack
+
+        def pack(self):
+            data = bytearray(real_pack(self))
+            data[index] = value
+            return bytes(data)
+
+        def sha3_payload_keys(session_key):
+            h = hashlib.sha3_256
+            return h(b"enc" + session_key).digest(), h(b"mac" + session_key).digest()
+
+        monkeypatch.setattr(Meta, "pack", pack)
+        if index == 2:
+            monkeypatch.setattr(codec_mod, "derive_payload_keys", sha3_payload_keys)
+        kp = keypairs["B"][0]
+        blob, _ = encode_detailed([pk_recipient(kp)], b"ids", PadSpec.padme(), seeded_rng(24))
+        monkeypatch.undo()
+        with pytest.raises(DecodeError) as info:
+            decode(blob, pk_identity(kp))
+        assert str(info.value) == "decode failed"
+        assert info.value.__context__ is None
+        assert info.value.__cause__ is None
+        assert (info.value.stats.exp_count, info.value.stats.trial_count) == (1, 1)
 
     def test_wrong_suite_identity(self, keypairs):
         kp = keypairs["B"][0]
         other = keypairs["D"][0]
-        blob = encode([pk_recipient(kp)], b"secret", PadSpec.padme(), seeded_rng(20))
+        blob, _ = encode_detailed([pk_recipient(kp)], b"secret", PadSpec.padme(), seeded_rng(20))
         with pytest.raises(DecodeError):
             decode(blob, pk_identity(other))
 
@@ -706,7 +713,7 @@ class TestDecodeFailures:
 
     def test_single_bit_flip_sampled(self, keypairs):
         kp = keypairs["B"][0]
-        blob = encode([pk_recipient(kp)], b"integrity", PadSpec.padme(), seeded_rng(21))
+        blob, _ = encode_detailed([pk_recipient(kp)], b"integrity", PadSpec.padme(), seeded_rng(21))
         rng = seeded_rng(22)
         for _ in range(40):
             pos = int.from_bytes(rng.randbytes(4), "big") % (len(blob) * 8)
@@ -717,7 +724,7 @@ class TestDecodeFailures:
 
     def test_truncation_and_extension(self, keypairs):
         kp = keypairs["B"][0]
-        blob = encode([pk_recipient(kp)], b"length", PadSpec.padme(), seeded_rng(23))
+        blob, _ = encode_detailed([pk_recipient(kp)], b"length", PadSpec.padme(), seeded_rng(23))
         for mutated in (blob[:-1], blob + b"\x00", blob[1:]):
             with pytest.raises(DecodeError):
                 decode(mutated, pk_identity(kp))
@@ -726,7 +733,7 @@ class TestDecodeFailures:
         # a passphrase identity against a public-key suite is caller
         # misuse, but it must still surface as the one uniform error
         kp = keypairs["B"][0]
-        blob = encode([pk_recipient(kp)], b"kind", PadSpec.padme(), seeded_rng(28))
+        blob, _ = encode_detailed([pk_recipient(kp)], b"kind", PadSpec.padme(), seeded_rng(28))
         with pytest.raises(DecodeError):
             decode(blob, Identity(kp.suite, passphrase=b"not a key"))
         pw = registry.by_alias("pw")
@@ -736,7 +743,7 @@ class TestDecodeFailures:
     @pytest.mark.parametrize("case", ["str", "truncated", "k256-scalar", "random"])
     def test_error_chains_no_internal_exception(self, keypairs, case):
         kp = keypairs["A"][0]
-        blob = encode([pk_recipient(kp)], b"chain", PadSpec.padme(), seeded_rng(29))
+        blob, _ = encode_detailed([pk_recipient(kp)], b"chain", PadSpec.padme(), seeded_rng(29))
         data, ident = {
             "str": ("not a blob", pk_identity(kp)),
             "truncated": (blob[:-1], pk_identity(kp)),
@@ -777,7 +784,7 @@ class TestBufferInputs:
         # slice still held there would keep the mmap exported.
         kp = keypairs["B"][0]
         for payload in (bytes(range(256)) * 3, _large_payload(74)):
-            blob = encode([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(70))
+            blob, _ = encode_detailed([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(70))
             buf = BUFFER_KINDS[kind](blob)
             out, _ = decode(buf, pk_identity(kp))
             assert type(out) is bytes and out == payload
@@ -816,10 +823,10 @@ class TestMemoryBound:
         size = 8 << 20
         payload = seeded_rng(72).randbytes(size)
         rs = [pk_recipient(kp)]
-        encode(rs, payload, PadSpec.padme(), seeded_rng(73))  # warm-up
+        encode_detailed(rs, payload, PadSpec.padme(), seeded_rng(73))  # warm-up
         tracemalloc.start()
         try:
-            blob = encode(rs, payload, PadSpec.padme(), seeded_rng(73))
+            blob, _ = encode_detailed(rs, payload, PadSpec.padme(), seeded_rng(73))
             encode_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
@@ -846,7 +853,7 @@ class TestIdentityKeyCache:
 
         rng = seeded_rng(60)
         payloads = [b"msg %d" % i for i in range(20)]
-        blobs = [encode([pk_recipient(kp)], p, PadSpec.padme(), rng) for p in payloads]
+        blobs = [encode_detailed([pk_recipient(kp)], p, PadSpec.padme(), rng)[0] for p in payloads]
         monkeypatch.setattr(group, "private_key", counting_private_key)
         ident = pk_identity(kp)
         for payload, blob in zip(payloads, blobs):
@@ -859,7 +866,7 @@ class TestIdentityKeyCache:
     )
     def test_out_of_range_k256_scalar_fails_uniformly(self, keypairs, scalar):
         kp = keypairs["A"][0]
-        blob = encode([pk_recipient(kp)], b"range", PadSpec.padme(), seeded_rng(61))
+        blob, _ = encode_detailed([pk_recipient(kp)], b"range", PadSpec.padme(), seeded_rng(61))
         ident = Identity(kp.suite, secret_key=scalar.to_bytes(32, "big"))
         for _ in range(3):
             with pytest.raises(DecodeError) as info:
@@ -870,7 +877,7 @@ class TestIdentityKeyCache:
         kp, other = keypairs["A"][0], keypairs["A"][1]
         fresh, used = pk_identity(kp), pk_identity(kp)
         before = hash(used)
-        blob = encode([pk_recipient(kp)], b"eq", PadSpec.padme(), seeded_rng(62))
+        blob, _ = encode_detailed([pk_recipient(kp)], b"eq", PadSpec.padme(), seeded_rng(62))
         assert decode(blob, used)[0] == b"eq"
         assert "native_key" in vars(used)
         assert used == fresh and hash(used) == hash(fresh) == before
@@ -884,7 +891,7 @@ class TestDecodeStats:
         rng = seeded_rng(25)
         members = [keygen(b, rng) for _ in range(64)]
         rs = [pk_recipient(kp) for kp in members]
-        blob = encode(rs, b"stats", PadSpec.padme(), rng)
+        blob, _ = encode_detailed(rs, b"stats", PadSpec.padme(), rng)
         per_member = []
         for kp in members:
             out, stats = decode(blob, pk_identity(kp))

@@ -25,6 +25,11 @@ no thread.  Every helper is started and joined inside the call, and the
 secrets keep recipient order, so a seeded encode gives the same bytes
 however the threads are scheduled, and it may use a second core.
 
+Each output is one BytesIO, sized once and written in place through a
+view: the blob on encode, the plaintext on decode.  Its getvalue() is
+then, in CPython, the buffer's own bytes object, not a copy.  Only
+speed depends on that; the result is the same bytes either way.
+
 Decoding is trial-based and reports its operation counts; every failure
 mode collapses into the single opaque DecodeError.  For a payload of
 OVERLAP_MIN_PAYLOAD bytes or more, one helper thread, started and
@@ -63,10 +68,16 @@ from .suites import (
 MAX_OFFSET = 1 << 48  # payload offsets are 48-bit fields
 
 # Decode overlaps tag and decryption from this payload length up.  Below
-# it, the thread start (about 36 us) costs more than the overlap saves:
-# the two break even near 128 KiB when glibc mmaps every buffer of 128 KiB
-# or more, and near 256 KiB under its default, adaptive threshold.
-OVERLAP_MIN_PAYLOAD = 256 << 10
+# it, starting and joining the helper costs more than the overlap saves.
+# With the plaintext decrypted in place, suite-B decodes (medians, 2 vCPU)
+# took, serial against overlapped: 886 against 1026 us at 256 KiB, 1072
+# against 1024 at 384 KiB and 1290 against 1106 at 512 KiB when glibc
+# mmaps every buffer of 128 KiB or more; under its default, adaptive
+# threshold, 591 against 714 us at 256 KiB, 955 against 1008 at 512 KiB
+# and 1109 against 1077 at 640 KiB.  The break-even sits near 384 KiB
+# pinned and 512-640 KiB by default; it sat near 128 and 256 KiB while
+# decryption allocated its output twice.
+OVERLAP_MIN_PAYLOAD = 512 << 10
 
 # Encode splits a parallel_dh suite's exchanges across two threads from
 # this many recipients up.  A thread start and join costs about 25 us,
@@ -86,16 +97,13 @@ SHA256_PRIME = 0x01
 _META_PREFIX = bytes([CHACHA20_SCHEME, HMAC_SHA256, SHA256_PRIME, 0])
 
 
-def _chacha20_stream(key: bytes, data, out=None):
+def _chacha20_stream(key: bytes, data, out) -> None:
     # Keystream XOR, so ciphertext length equals plaintext length and the
-    # same call decrypts; integrity comes from the global MAC.  Takes any
-    # bytes-like input and returns bytes, or, given an `out` buffer of
-    # exactly len(data) bytes, writes into it and returns it.
+    # same call decrypts; integrity comes from the global MAC.  Reads any
+    # bytes-like input and writes into `out`, a writable buffer of exactly
+    # len(data) bytes.
     enc = Cipher(algorithms.ChaCha20(key, b"\x00" * 16), mode=None).encryptor()
-    if out is None:
-        return enc.update(data)
     enc.update_into(data, out)
-    return out
 
 
 def _hmac_sha256(key: bytes, data: bytes) -> bytes:
@@ -395,15 +403,15 @@ def encode_detailed(
             hdr.write_entry(slot, seal_entry_point(suite, z, plain))
 
     blob = hdr.build_blob(rng)
-    with memoryview(blob) as view:
+    with blob.getbuffer() as view:
         # The ciphertext goes in before the XOR step: a suite's key
         # positions may fall inside the payload region.
         PAYLOAD_SCHEMES[CHACHA20_SCHEME](
-            key_enc, payload, out=view[plan.payload_start : plan.payload_end]
+            key_enc, payload, view[plan.payload_start : plan.payload_end]
         )
         for suite, tau in taus:
-            layout_mod.xor_encode(blob, suite, tau, plan.pubkey_pos[suite.suite_id])
-        blob[plan.mac_pos :] = mac_fn(key_mac, view[: plan.mac_pos])
+            layout_mod.xor_encode(view, suite, tau, plan.pubkey_pos[suite.suite_id])
+        view[plan.mac_pos :] = mac_fn(key_mac, view[: plan.mac_pos])
 
     report = EncodeReport(
         purb_len=plan.purb_len,
@@ -423,7 +431,8 @@ def encode_detailed(
             for (suite, tau), slots in zip(taus, slots_per_suite)
         ],
     )
-    return bytes(blob), report
+    # The view is released, so this is the buffer itself, not a copy.
+    return blob.getvalue(), report
 
 
 def decode(blob, identity: Identity) -> tuple[bytes, DecodeStats]:
@@ -494,8 +503,12 @@ def _decode(blob: memoryview, identity: Identity, stats: DecodeStats) -> bytes:
         return mac_fn(key_mac, blob[:mac_pos])
 
     def payload() -> bytes:
-        ct = blob[meta.payload_start : meta.payload_end]
-        return PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct)
+        # Decrypted in place into the buffer that becomes the result.
+        out = layout_mod.zeroed_buffer(meta.payload_end - meta.payload_start)
+        with out.getbuffer() as view:
+            ct = blob[meta.payload_start : meta.payload_end]
+            PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct, view)
+        return out.getvalue()
 
     if meta.payload_end - meta.payload_start >= OVERLAP_MIN_PAYLOAD:
         computed, out = _beside(tag, payload)

@@ -14,6 +14,7 @@ position, and the whole length is always a permitted padded length.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
 from .padding import PadSpec
@@ -279,22 +280,42 @@ class HeaderLayout:
         plan.mac_pos = purb_len - mac_len
         return plan
 
-    def build_blob(self, rng: RandomSource) -> bytearray:
+    def build_blob(self, rng: RandomSource) -> io.BytesIO:
         """The final buffer: header, zeroed payload region, random padding,
         zeroed tag region.
 
         The caller writes the payload ciphertext into
-        [payload_start, payload_end) and the tag from mac_pos on.
+        [payload_start, payload_end) and the tag from mac_pos on, through
+        the buffer's getbuffer() view, then releases the view and takes
+        the blob with getvalue().  The blob is this one buffer, allocated
+        and faulted in once: with no view exported and the size exact,
+        CPython's getvalue() hands over the BytesIO's own bytes object
+        instead of copying it.  Only speed depends on that; any other
+        getvalue() returns the same bytes through a copy.
         """
         plan = self.plan
         if plan.purb_len == 0:
             raise ValueError("finalize_lengths must run first")
-        blob = bytearray(plan.purb_len)
-        blob[: self.end] = self.content
-        blob[plan.payload_end : plan.mac_pos] = rng.randbytes(
-            plan.mac_pos - plan.payload_end
-        )
+        blob = zeroed_buffer(plan.purb_len)
+        with blob.getbuffer() as view:
+            view[: self.end] = self.content
+            view[plan.payload_end : plan.mac_pos] = rng.randbytes(
+                plan.mac_pos - plan.payload_end
+            )
         return blob
+
+
+def zeroed_buffer(n: int) -> io.BytesIO:
+    """A BytesIO holding n zero bytes in one exact-size allocation.
+
+    Write through getbuffer() and take the result with getvalue(); see
+    HeaderLayout.build_blob.  n may be 0.
+    """
+    buf = io.BytesIO()
+    if n:
+        buf.seek(n - 1)
+        buf.write(b"\x00")
+    return buf
 
 
 def in_range_positions(suite: SuiteSpec, purb_len: int) -> list[int]:
@@ -314,11 +335,14 @@ def _xor_ranges(blob, positions, klen: int, acc: int) -> int:
     return acc
 
 
-def xor_encode(blob: bytearray, suite: SuiteSpec, tau: bytes, primary: int) -> None:
+def xor_encode(
+    blob: bytearray | memoryview, suite: SuiteSpec, tau: bytes, primary: int
+) -> None:
     """Store tau at the primary position, masked by the other positions.
 
-    Afterwards the XOR of the blob content over all in-range positions of
-    the suite equals tau exactly.
+    The blob is any writable buffer: encode passes a view of the blob
+    under construction.  Afterwards the XOR of the blob content over all
+    in-range positions of the suite equals tau exactly.
     """
     klen = suite.encoded_key_len
     others = [p for p in in_range_positions(suite, len(blob)) if p != primary]

@@ -620,7 +620,9 @@ class TestRoundTrips:
             )
             key_enc, _ = derive_payload_keys(plain[:32])
             ct = blob[meta.payload_start : meta.payload_end]
-            assert PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct) == b"flat"
+            out = bytearray(len(ct))
+            PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct, out)
+            assert out == b"flat"
 
     def test_empty_payload(self, keypairs):
         kp = keypairs["B"][2]
@@ -837,6 +839,42 @@ class TestMemoryBound:
         assert out == payload
         assert encode_peak <= 2.2 * size, encode_peak / size
         assert decode_new <= 1.2 * size, decode_new / size
+
+    def test_encode_writes_blob_once(self, keypairs):
+        # The blob buffer is the returned bytes object: no second
+        # blob-sized allocation at any point of the encode.  The system
+        # source draws the padding, as in use; the seeded one would add
+        # its own buffers.
+        kp = keypairs["B"][0]
+        payload = seeded_rng(74).randbytes(4 << 20)
+        rs = [pk_recipient(kp)]
+        encode_detailed(rs, payload)  # warm-up
+        tracemalloc.start()
+        try:
+            blob, report = encode_detailed(rs, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blob) == report.purb_len
+        assert peak < 1.5 * report.purb_len, peak / report.purb_len
+
+
+class TestOutputTypes:
+    """Both directions hand back exact, immutable bytes, whatever buffer
+    they were written in."""
+
+    @pytest.mark.parametrize(
+        "size", [0, 1024, OVERLAP_MIN_PAYLOAD + 1000], ids=["empty", "1k", "overlap"]
+    )
+    def test_exact_bytes(self, keypairs, size):
+        kp = keypairs["B"][0]
+        payload = seeded_rng(76).randbytes(size)
+        blob, _ = encode_detailed([pk_recipient(kp)], payload, PadSpec.padme(), seeded_rng(77))
+        out, _ = decode(blob, pk_identity(kp))
+        assert out == payload
+        for value in (blob, out):
+            assert type(value) is bytes
+            assert memoryview(value).readonly
 
 
 class TestIdentityKeyCache:

@@ -492,7 +492,7 @@ class TestPlanMetrics:
             hdr.place_entry_points(registry.by_alias("B"), [7], rng)
             hdr.fill_random(rng)
             hdr.finalize_lengths(64, 32, PadSpec.padme())
-            return bytes(hdr.build_blob(rng))
+            return hdr.build_blob(rng).getvalue()
 
         assert build(77) == build(77)
         assert build(77) != build(78)

@@ -63,36 +63,29 @@ class AnonymityReport:
 def load_sizes(path: str, column: str | None = None) -> SizeDataset:
     """Read sizes from a file: one integer per line, or a named CSV column.
 
-    Malformed input is rejected with the offending line number.
+    Blank lines of a plain file are skipped.  Malformed input is rejected
+    with the offending line number.
     """
     sizes: list[int] = []
-    if column is None:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                token = line.strip()
-                if not token:
-                    continue
-                try:
-                    value = int(token)
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: not an integer: {token!r}")
-                if value < 1:
-                    raise ValueError(f"{path}: line {lineno}: size must be >= 1")
-                sizes.append(value)
-    else:
-        with open(path, "r", encoding="utf-8", newline="") as f:
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        if column is None:
+            lines = ((n, line.strip()) for n, line in enumerate(f, start=1))
+            tokens = ((n, token) for n, token in lines if token)
+        else:
             reader = csv.DictReader(f)
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise ValueError(f"{path}: no column named {column!r}")
-            for lineno, row in enumerate(reader, start=2):
-                token = (row.get(column) or "").strip()
-                try:
-                    value = int(token)
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: not an integer: {token!r}")
-                if value < 1:
-                    raise ValueError(f"{path}: line {lineno}: size must be >= 1")
-                sizes.append(value)
+            tokens = (
+                (reader.line_num, (row.get(column) or "").strip()) for row in reader
+            )
+        for lineno, token in tokens:
+            try:
+                value = int(token)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: not an integer: {token!r}")
+            if value < 1:
+                raise ValueError(f"{path}: line {lineno}: size must be >= 1")
+            sizes.append(value)
     if not sizes:
         raise ValueError(f"{path}: no sizes found")
     return SizeDataset(name=path, sizes=sizes)

@@ -60,7 +60,6 @@ from .suites import (
     PASSWORD,
     PUBLIC_KEY,
     SESSION_KEY_LEN,
-    Registry,
     SuiteSpec,
     default_registry,
 )
@@ -221,8 +220,7 @@ class DecodeError(Exception):
 
 def derive_entry_keys(k: bytes, suite: SuiteSpec) -> tuple[bytes, int]:
     """Split one shared secret into an encryption key and a position key."""
-    _, key_len, _ = suite.ep_aead()
-    z = suite.derive_hash(b"key" + k)[:key_len]
+    z = suite.derive_hash(b"key" + k)[: suite.ep_key_len]
     p = int.from_bytes(suite.derive_hash(b"pos" + k), "big")
     return z, p
 
@@ -236,21 +234,21 @@ def derive_payload_keys(session_key: bytes) -> tuple[bytes, bytes]:
 def seal_entry_point(suite: SuiteSpec, z: bytes, plain: bytes) -> bytes:
     if len(plain) != ENTRY_PLAIN_LEN:
         raise ValueError("entry-point plaintext must be 48 bytes")
-    aead_cls, _, _ = suite.ep_aead()
-    return aead_cls(z).encrypt(_ZERO_NONCE, plain, None)
+    return suite.ep_aead(z).encrypt(_ZERO_NONCE, plain, None)
 
 
 def open_entry_point(suite: SuiteSpec, z: bytes, data: bytes) -> bytes | None:
-    aead_cls, _, _ = suite.ep_aead()
     try:
-        return aead_cls(z).decrypt(_ZERO_NONCE, data, None)
+        return suite.ep_aead(z).decrypt(_ZERO_NONCE, data, None)
     except InvalidTag:
         return None
 
 
 def _group_recipients(
-    recipients: list[Recipient], registry: Registry
+    recipients: list[Recipient],
 ) -> list[tuple[SuiteSpec, list[Recipient]]]:
+    """Recipients grouped by suite, the groups in canonical order."""
+    registry = default_registry()
     groups: dict[int, list[Recipient]] = {}
     for r in recipients:
         try:
@@ -260,8 +258,7 @@ def _group_recipients(
         if registered is not r.suite:
             raise ValueError(f"suite {r.suite.alias} not in registry")
         groups.setdefault(r.suite.suite_id, []).append(r)
-    ordered = sorted(groups, key=lambda sid: registry.by_id(sid).order_index)
-    return [(registry.by_id(sid), groups[sid]) for sid in ordered]
+    return [(registry.by_id(sid), groups[sid]) for sid in sorted(groups)]
 
 
 def _beside(background, foreground):
@@ -311,7 +308,7 @@ def encode_detailed(
 ) -> tuple[bytes, EncodeReport]:
     """Encode a payload for a set of recipients; see module docstring.
 
-    Suites are processed in their canonical registry order regardless of
+    Suites are processed in their canonical order, by suite_id, whatever
     the order recipients are given in, so the same recipient multiset
     always produces the same geometry.
     """
@@ -321,9 +318,8 @@ def encode_detailed(
         raise ValueError("payload too large for 48-bit offsets")
     pad = pad or PadSpec.padme()
     rng = rng or system_rng()
-    registry = default_registry()
 
-    groups = _group_recipients(recipients, registry)
+    groups = _group_recipients(recipients)
 
     # Draw phase, on this thread and in suite order: all of the KEM's
     # randomness, one ephemeral key pair per public-key suite and one
@@ -384,7 +380,7 @@ def encode_detailed(
 
     session_key = rng.randbytes(SESSION_KEY_LEN)
 
-    hdr = layout_mod.HeaderLayout(registry)
+    hdr = layout_mod.HeaderLayout()
     hdr.reserve_pubkeys([suite for suite, _ in groups])
     slots_per_suite = [
         hdr.place_entry_points(suite, [p for _, p in zps], rng)

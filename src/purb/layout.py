@@ -8,7 +8,7 @@ doubling sizes starting right after the suite's first possible position.
 A decoder tries its slot in every table in order, so the encoder may put
 each entry in any table; it picks the assignment with the lowest last
 slot, which keeps the header short.  The finished blob is padded so that
-the trailing authentication tag never lands on any registered suite's key
+the trailing authentication tag never lands on any suite's key
 position, and the whole length is always a permitted padded length.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .padding import PadSpec
 from .rng import RandomSource
-from .suites import Registry, SuiteSpec
+from .suites import SUITES, SuiteSpec
 
 
 @dataclass
@@ -144,8 +144,7 @@ def _min_max_slots(position_keys: list[int], blocked: set[int]) -> list[int]:
 class HeaderLayout:
     """Single-owner mutable state for one blob under construction."""
 
-    def __init__(self, registry: Registry):
-        self.registry = registry
+    def __init__(self):
         self.content = bytearray()
         self.occupied = bytearray()
         self.fixed = bytearray()  # positions pinned against later suites
@@ -170,18 +169,17 @@ class HeaderLayout:
         replaces it); all the suite's positions are then pinned so later
         suites cannot sit on bytes this suite's decoders will XOR.
         """
-        order = [s.order_index for s in suites]
-        if order != sorted(order) or len(set(order)) != len(order):
+        order = [s.suite_id for s in suites]
+        if order != sorted(set(order)):
             raise ValueError("suites must be given in canonical order")
         for suite in suites:
             klen = suite.encoded_key_len
-            primary = None
-            for pos in suite.allowed_positions:
-                if _is_free(self.fixed, pos, pos + klen):
-                    primary = pos
-                    break
-            if primary is None:
-                raise ValueError(f"no free key position for suite {suite.alias}")
+            # Some position is always free: the suite table is built so
+            # that every subset of it places (test_every_subset_placeable).
+            primary = next(
+                pos for pos in suite.allowed_positions
+                if _is_free(self.fixed, pos, pos + klen)
+            )
             self.plan.pubkey_pos[suite.suite_id] = primary
             self._write(primary, primary + klen, b"\x00" * klen)
             self.plan.labels.append((primary, primary + klen, "pubkey-primary"))
@@ -251,13 +249,13 @@ class HeaderLayout:
         self._filled = True
 
     def _mac_collides(self, purb_len: int, mac_len: int) -> bool:
-        """Would the tag at the blob tail touch any registered key position?
+        """Would the tag at the blob tail touch any suite's key position?
 
-        Checked against the whole registry, not just the suites in use:
-        decoders of any suite XOR those ranges.
+        Checked against every suite in SUITES, not just the suites in
+        use: decoders of any suite XOR those ranges.
         """
         mac_pos = purb_len - mac_len
-        for suite in self.registry:
+        for suite in SUITES:
             klen = suite.encoded_key_len
             for pos in suite.allowed_positions:
                 if pos < purb_len and pos + klen > mac_pos:

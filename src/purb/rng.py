@@ -36,17 +36,16 @@ class SeededSource(RandomSource):
         self._buf = b""
 
     def randbytes(self, n: int) -> bytes:
-        short = n - len(self._buf)
-        if short > 0:
-            # Joined once, so a large request costs linear, not quadratic, time.
-            first = self._counter
-            self._counter += -(-short // 32)
-            self._buf += b"".join(
-                hashlib.sha256(self._seed + i.to_bytes(8, "big")).digest()
-                for i in range(first, self._counter)
-            )
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
+        # The leftover and the new blocks grow one buffer in place, copied
+        # out once, so a large draw peaks near twice its size.
+        buf = bytearray(self._buf)
+        while len(buf) < n:
+            counter = self._counter.to_bytes(8, "big")
+            buf += hashlib.sha256(self._seed + counter).digest()
+            self._counter += 1
+        self._buf = bytes(buf[n:])
+        with memoryview(buf) as view:
+            return bytes(view[:n])
 
 
 def system_rng() -> RandomSource:

@@ -1,11 +1,12 @@
 """Cipher suites: groups, point-hiding codecs, AEADs, hashes, positions.
 
 A suite fixes everything one header layer needs: the group and its
-uniform point codec, the entry-point AEAD, the two hash roles (SHA-256
-under two prefixes: shared secret to key material, and labeled
-derivations), and the public list of byte offsets where the suite's
-encoded key may live in a blob.  The default registry is immutable and
-safe to share.
+uniform point codec, the entry-point AEAD and its key length, the two
+hash roles (SHA-256 under two prefixes: shared secret to key material,
+and labeled derivations), and the public list of byte offsets where the
+suite's encoded key may live in a blob.  SUITES is the one suite table,
+a public constant of the format like the scrypt cost in password_secret:
+suite_id is the canonical order, and every entry point is 64 bytes.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from .rng import RandomSource, random_scalar_below
 PUBLIC_KEY = "public-key"
 PASSWORD = "password"
 
-# Entry-point plaintext is one session key plus one metadata block; the
-# split is fixed so the slot size is a per-suite constant.
+# Entry-point plaintext is one session key plus one metadata block.
+# Sealed, it gains the 16-byte tag that every entry-point AEAD adds, so
+# every suite's hash-table slot is ENTRY_LEN bytes.
 SESSION_KEY_LEN = 32
 META_LEN = 16
 ENTRY_PLAIN_LEN = SESSION_KEY_LEN + META_LEN
+ENTRY_LEN = ENTRY_PLAIN_LEN + 16
 
 # Domain-separation prefixes keeping the two hash roles distinct.
 _KEM_PREFIX = b"purb-H"
@@ -43,7 +46,6 @@ class Curve25519Group:
 
     name = "x25519"
     encoded_len = curve25519.ENCODED_LEN
-    scalar_len = 32
     # An exchange takes about 22 us, too short to pay for a second
     # thread: 2x200 exchanges took 8.8 ms on one thread and 8.9 ms on two.
     parallel_dh = False
@@ -76,7 +78,6 @@ class Secp256k1Group:
 
     name = "k256"
     encoded_len = secp256k1.ENCODED_LEN
-    scalar_len = 32
     # OpenSSL's exchange takes about 210 us and releases the GIL, so
     # encode splits a suite's exchanges across two threads: 2x200
     # exchanges took 84 ms on one thread and 44 ms on two (2 vCPU).
@@ -111,64 +112,27 @@ class Secp256k1Group:
         return secp256k1.unhide(rep)
 
 
-# Entry-point AEAD bindings: constructor, key length, tag length.
-EP_AEADS = {
-    "aes128gcm": (AESGCM, 16, 16),
-    "aes256gcm": (AESGCM, 32, 16),
-    "chacha20poly1305": (ChaCha20Poly1305, 32, 16),
-}
-
-@dataclass(frozen=True)
-class KdfParams:
-    """scrypt cost parameters; public constants of the password suite."""
-
-    n: int = 4096
-    r: int = 8
-    p: int = 1
-
-
 @dataclass(frozen=True)
 class SuiteSpec:
-    suite_id: int
+    suite_id: int  # also the canonical order
     alias: str
     name: str
-    order_index: int
     kind: str
     encoded_key_len: int
-    ep_aead_id: str
-    ep_tag_len: int
+    ep_aead: type  # entry-point AEAD; every one has a 16-byte tag
+    ep_key_len: int
     allowed_positions: tuple[int, ...]
     group: Curve25519Group | Secp256k1Group | None = None
-    kdf_params: KdfParams | None = field(default=None)
-
-    def __post_init__(self):
-        if self.encoded_key_len <= 0 or self.ep_tag_len <= 0:
-            raise ValueError("lengths must be positive")
-        pos = self.allowed_positions
-        if not pos or pos[0] != 0:
-            raise ValueError("allowed positions must start at offset 0")
-        for a, b in zip(pos, pos[1:]):
-            # Strictly increasing and non-overlapping ranges, otherwise the
-            # XOR over positions would double-count bytes.
-            if b < a + self.encoded_key_len:
-                raise ValueError("allowed positions overlap")
-        if self.kind == PUBLIC_KEY and self.group is None:
-            raise ValueError("public-key suite needs a group")
-        if self.kind == PASSWORD and self.kdf_params is None:
-            raise ValueError("password suite needs kdf parameters")
 
     @property
     def entry_len(self) -> int:
         """Entry-point ciphertext length, the hash-table slot size."""
-        return ENTRY_PLAIN_LEN + self.ep_tag_len
+        return ENTRY_LEN
 
     @property
     def ht_base(self) -> int:
         """Hash tables start right after the first possible key position."""
         return self.allowed_positions[0] + self.encoded_key_len
-
-    def ep_aead(self):
-        return EP_AEADS[self.ep_aead_id]
 
     def kem_hash(self, shared: bytes) -> bytes:
         return hashlib.sha256(_KEM_PREFIX + shared).digest()
@@ -189,27 +153,45 @@ class KeyPair:
     native_key: object = field(default=None, compare=False, repr=False)
 
 
-class Registry:
-    """Ordered, immutable suite collection."""
+_K256 = Secp256k1Group()
+_X25519 = Curve25519Group()
 
-    def __init__(self, suites: Sequence[SuiteSpec]):
-        ordered = tuple(sorted(suites, key=lambda s: s.order_index))
-        indices = [s.order_index for s in ordered]
-        if len(set(indices)) != len(indices):
-            raise ValueError("order_index values must be unique")
-        self._suites = ordered
-        self._by_alias = {s.alias: s for s in ordered}
-        self._by_id = {s.suite_id: s for s in ordered}
+
+def _pk_suite(suite_id, alias, group, aead_name, aead, key_len, positions):
+    name = f"purb-{aead_name}-sha256-{group.name}"
+    return SuiteSpec(
+        suite_id, alias, name, PUBLIC_KEY, group.encoded_len, aead, key_len,
+        positions, group,
+    )
+
+
+# The suite table, in canonical order: suite_id i is row i.  It is part
+# of the format: every encoder and decoder shares it, and changing a row
+# changes which blobs decode.
+SUITES = (
+    _pk_suite(0, "A", _K256, "aes128gcm", AESGCM, 16, (0,)),
+    _pk_suite(1, "B", _X25519, "aes128gcm", AESGCM, 16, (0, 64)),
+    _pk_suite(2, "C", _K256, "aes256gcm", AESGCM, 32, (0, 96)),
+    _pk_suite(3, "D", _X25519, "aes256gcm", AESGCM, 32, (0, 32, 64, 160)),
+    _pk_suite(4, "E", _K256, "chacha20poly1305", ChaCha20Poly1305, 32,
+              (0, 64, 128, 192)),
+    _pk_suite(5, "F", _X25519, "chacha20poly1305", ChaCha20Poly1305, 32,
+              (0, 32, 64, 96, 128, 256)),
+    # 288 is beyond every other suite's position ranges, so a salt can
+    # always be placed no matter which suites share the blob.
+    SuiteSpec(6, "pw", "purb-chacha20poly1305-sha256-scrypt", PASSWORD, 32,
+              ChaCha20Poly1305, 32, (0, 32, 288)),
+)
+
+
+class Registry:
+    """Read-only lookup over SUITES."""
+
+    _by_alias = {s.alias: s for s in SUITES}
+    _by_id = {s.suite_id: s for s in SUITES}
 
     def __iter__(self):
-        return iter(self._suites)
-
-    def __len__(self):
-        return len(self._suites)
-
-    @property
-    def suites(self) -> tuple[SuiteSpec, ...]:
-        return self._suites
+        return iter(SUITES)
 
     def by_alias(self, alias: str) -> SuiteSpec:
         return self._by_alias[alias]
@@ -218,49 +200,7 @@ class Registry:
         return self._by_id[suite_id]
 
 
-_K256 = Secp256k1Group()
-_X25519 = Curve25519Group()
-
-
-def _pk_suite(suite_id, alias, order, group, aead, positions):
-    return SuiteSpec(
-        suite_id=suite_id,
-        alias=alias,
-        name=f"purb-{aead}-sha256-{group.name}",
-        order_index=order,
-        kind=PUBLIC_KEY,
-        encoded_key_len=group.encoded_len,
-        ep_aead_id=aead,
-        ep_tag_len=EP_AEADS[aead][2],
-        allowed_positions=positions,
-        group=group,
-    )
-
-
-_DEFAULT = Registry(
-    [
-        _pk_suite(0, "A", 0, _K256, "aes128gcm", (0,)),
-        _pk_suite(1, "B", 1, _X25519, "aes128gcm", (0, 64)),
-        _pk_suite(2, "C", 2, _K256, "aes256gcm", (0, 96)),
-        _pk_suite(3, "D", 3, _X25519, "aes256gcm", (0, 32, 64, 160)),
-        _pk_suite(4, "E", 4, _K256, "chacha20poly1305", (0, 64, 128, 192)),
-        _pk_suite(5, "F", 5, _X25519, "chacha20poly1305", (0, 32, 64, 96, 128, 256)),
-        SuiteSpec(
-            suite_id=6,
-            alias="pw",
-            name="purb-chacha20poly1305-sha256-scrypt",
-            order_index=6,
-            kind=PASSWORD,
-            encoded_key_len=32,
-            ep_aead_id="chacha20poly1305",
-            ep_tag_len=16,
-            # 288 is beyond every other suite's position ranges, so a salt
-            # can always be placed no matter which suites share the blob.
-            allowed_positions=(0, 32, 288),
-            kdf_params=KdfParams(),
-        ),
-    ]
-)
+_DEFAULT = Registry()
 
 
 def default_registry() -> Registry:
@@ -325,10 +265,8 @@ def password_secret(suite: SuiteSpec, salt: bytes, passphrase: bytes) -> bytes:
         raise ValueError("password_secret needs a password suite")
     if len(salt) != suite.encoded_key_len:
         raise ValueError("salt has wrong length")
-    params = suite.kdf_params
-    return hashlib.scrypt(
-        passphrase, salt=salt, n=params.n, r=params.r, p=params.p, dklen=32
-    )
+    # The cost N = 4096, r = 8, p = 1 is a constant of the format.
+    return hashlib.scrypt(passphrase, salt=salt, n=4096, r=8, p=1, dklen=32)
 
 
 def write_key_files(prefix: str, kp: KeyPair) -> tuple[str, str]:

@@ -69,6 +69,18 @@ class TestLoadSizes:
         with pytest.raises(ValueError, match="line 3"):
             load_sizes(str(path), column="size")
 
+    def test_csv_nonpositive_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("size\n10\n0\n")
+        with pytest.raises(ValueError, match="line 3: size must be >= 1"):
+            load_sizes(str(path), column="size")
+
+    def test_csv_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("size\n10\n\nbogus\n")
+        with pytest.raises(ValueError, match="line 4: not an integer"):
+            load_sizes(str(path), column="size")
+
 
 class TestProfile:
     def test_nine_and_ten_group_together(self):

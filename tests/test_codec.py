@@ -131,8 +131,7 @@ class TestEntryPointSealing:
     def test_roundtrip(self, registry):
         for alias in ("A", "C", "E", "pw"):
             suite = registry.by_alias(alias)
-            _, key_len, _ = suite.ep_aead()
-            z = bytes(range(key_len))
+            z = bytes(range(suite.ep_key_len))
             plain = bytes(range(48))
             ct = seal_entry_point(suite, z, plain)
             assert len(ct) == suite.entry_len
@@ -160,7 +159,7 @@ class TestEncodeBasics:
 
     def test_unregistered_suite_rejected(self, registry, keypairs):
         foreign = keypairs["B"][0]
-        clone = type(foreign.suite)(**{**foreign.suite.__dict__, "suite_id": 77, "order_index": 77})
+        clone = type(foreign.suite)(**{**foreign.suite.__dict__, "suite_id": 77})
         rec = Recipient(clone, pubkey=foreign.pk_encoded)
         with pytest.raises(ValueError, match="suite B not in registry"):
             encode_detailed([rec], b"x", PadSpec.padme(), seeded_rng(2))
@@ -819,8 +818,10 @@ class TestBufferInputs:
 
 class TestMemoryBound:
     def test_payload_is_not_copied(self, keypairs):
-        # Encode holds the blob and its one immutable copy; decode adds
-        # only the plaintext to the blob it was handed.
+        # Encode holds the one blob buffer, written in place (1.03x the
+        # payload here), and the seeded source's padding draw, which
+        # peaks near twice its 3%: 1.10x measured.  Decode adds only the
+        # plaintext to the blob it was handed.
         kp = keypairs["B"][0]
         size = 8 << 20
         payload = seeded_rng(72).randbytes(size)
@@ -837,7 +838,7 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert out == payload
-        assert encode_peak <= 2.2 * size, encode_peak / size
+        assert encode_peak <= 1.15 * size, encode_peak / size
         assert decode_new <= 1.2 * size, decode_new / size
 
     def test_encode_writes_blob_once(self, keypairs):

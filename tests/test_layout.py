@@ -52,55 +52,38 @@ def blocked_slots(hdr, suite):
 class TestReservePubkeys:
     def test_single_suite_primary_at_zero(self, registry):
         for alias in "ABCDEF":
-            hdr = HeaderLayout(registry)
+            hdr = HeaderLayout()
             pos = hdr.reserve_pubkeys(suites_by_alias(registry, alias))
             assert pos[registry.by_alias(alias).suite_id] == 0
 
     def test_a_then_b(self, registry):
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         pos = hdr.reserve_pubkeys(suites_by_alias(registry, "A", "B"))
         assert pos[registry.by_alias("A").suite_id] == 0
         assert pos[registry.by_alias("B").suite_id] == 64
 
     def test_full_chain(self, registry):
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         pos = hdr.reserve_pubkeys(list(registry))
         got = {registry.by_id(sid).alias: p for sid, p in pos.items()}
         assert got == {"A": 0, "B": 64, "C": 96, "D": 160, "E": 192, "F": 256, "pw": 288}
 
     def test_non_canonical_order_rejected(self, registry):
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         with pytest.raises(ValueError):
             hdr.reserve_pubkeys(suites_by_alias(registry, "B", "A"))
-
-    def test_unplaceable_suite_rejected(self, registry):
-        # an ill-designed registry where both suites only allow offset 0
-        from purb.suites import KdfParams, Registry, SuiteSpec
-
-        def only_zero(suite_id, alias, order):
-            return SuiteSpec(
-                suite_id=suite_id, alias=alias, name=alias, order_index=order,
-                kind="password", encoded_key_len=32,
-                ep_aead_id="chacha20poly1305", ep_tag_len=16,
-                allowed_positions=(0,), kdf_params=KdfParams(),
-            )
-
-        bad = Registry([only_zero(90, "x", 0), only_zero(91, "y", 1)])
-        hdr = HeaderLayout(bad)
-        with pytest.raises(ValueError, match="no free key position"):
-            hdr.reserve_pubkeys(list(bad))
 
     def test_every_subset_placeable(self, registry):
         # Well-designed position sets: any suite subset coexists in a blob.
         all_suites = list(registry)
         for n in range(1, len(all_suites) + 1):
             for combo in itertools.combinations(all_suites, n):
-                hdr = HeaderLayout(registry)
+                hdr = HeaderLayout()
                 pos = hdr.reserve_pubkeys(list(combo))
                 assert len(pos) == n
 
     def test_primaries_never_overlap(self, registry):
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys(list(registry))
         ranges = sorted(
             (p, p + registry.by_id(sid).encoded_key_len)
@@ -113,7 +96,7 @@ class TestReservePubkeys:
 class TestPlaceEntryPoints:
     def test_single_recipient_suite_b(self, registry):
         b = registry.by_alias("B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         slots = hdr.place_entry_points(b, [1234], seeded_rng(1))
         assert slots == [(32, 32 + b.entry_len)]
@@ -122,7 +105,7 @@ class TestPlaceEntryPoints:
         # Both keys want the size-1 table; greedy gives 10 slot 0 and 11
         # slot 2 (table 1, index 1), but 10 fits table 1's index 0 instead.
         b = registry.by_alias("B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         slots = hdr.place_entry_points(b, [10, 11], seeded_rng(2))
         assert_own_table_slots(b, slots, [10, 11])
@@ -131,7 +114,7 @@ class TestPlaceEntryPoints:
 
     def test_same_position_key_gets_distinct_slots(self, registry):
         b = registry.by_alias("B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         slots = hdr.place_entry_points(b, [7, 7, 7], seeded_rng(3))
         assert len(set(slots)) == 3
@@ -140,7 +123,7 @@ class TestPlaceEntryPoints:
         # With two suites, the second suite's size-1 table sits under the
         # first suite's key, so its first entry lands in the next table.
         a, b = suites_by_alias(registry, "A", "B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([a, b])
         (slot,) = hdr.place_entry_points(b, [0], seeded_rng(4))
         ep = b.entry_len
@@ -150,7 +133,7 @@ class TestPlaceEntryPoints:
         b = registry.by_alias("B")
         rng = seeded_rng(5)
         for r in (1, 3, 10, 100):
-            hdr = HeaderLayout(registry)
+            hdr = HeaderLayout()
             hdr.reserve_pubkeys([b])
             pkeys = [int.from_bytes(rng.randbytes(8), "big") for _ in range(r)]
             slots = hdr.place_entry_points(b, pkeys, rng)
@@ -162,7 +145,7 @@ class TestPlaceEntryPoints:
         rng = seeded_rng(6)
         ep = b.entry_len
         for r in (10, 100, 1000):
-            hdr = HeaderLayout(registry)
+            hdr = HeaderLayout()
             hdr.reserve_pubkeys([b])
             pkeys = [int.from_bytes(rng.randbytes(8), "big") for _ in range(r)]
             slots = hdr.place_entry_points(b, pkeys, rng)
@@ -177,7 +160,7 @@ class TestPlaceEntryPoints:
     def test_slots_never_overlap_anything(self, registry):
         rng = seeded_rng(7)
         suites = suites_by_alias(registry, "A", "B", "D")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys(suites)
         for s in suites:
             hdr.place_entry_points(
@@ -203,7 +186,7 @@ class TestMinMaxPlacement:
         # With suite A first, its primary and its 64-byte entries (from
         # 64 + 64g) straddle pairs of B's slots (from 32 + 64g).
         a, b = suites_by_alias(registry, "A", "B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         if a_keys is None:
             hdr.reserve_pubkeys([b])
         else:
@@ -223,7 +206,7 @@ class TestMinMaxPlacement:
 
     def test_rng_one_entry_draw_per_key_in_order(self, registry):
         b = registry.by_alias("B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         keys = [10, 11, 10, 3]
         slots = hdr.place_entry_points(b, keys, seeded_rng(42))
@@ -256,7 +239,7 @@ class TestMinMaxPlacement:
 class TestFillRandom:
     def test_fully_reserved_unchanged(self, registry):
         b = registry.by_alias("B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         hdr.place_entry_points(b, [0], seeded_rng(8))
         before = bytes(hdr.content)
@@ -265,7 +248,7 @@ class TestFillRandom:
 
     def test_gap_filled_reserved_untouched(self, registry):
         a, b = suites_by_alias(registry, "A", "B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([a, b])  # gap beyond B's key until entries arrive
         hdr.place_entry_points(b, [1], seeded_rng(10))  # lands past table 0
         free = [i for i in range(hdr.end) if not hdr.occupied[i]]
@@ -280,7 +263,7 @@ class TestFillRandom:
 
     def test_no_free_bytes_after_fill(self, registry):
         rng = seeded_rng(26)
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys(suites_by_alias(registry, "A", "B", "E"))
         hdr.place_entry_points(registry.by_alias("B"), [3, 9, 27], rng)
         hdr.fill_random(rng)
@@ -290,7 +273,7 @@ class TestFillRandom:
         a, b = suites_by_alias(registry, "A", "B")
 
         def build(seed):
-            hdr = HeaderLayout(registry)
+            hdr = HeaderLayout()
             hdr.reserve_pubkeys([a, b])
             slots = hdr.place_entry_points(b, [1], seeded_rng(0))
             hdr.write_entry(slots[0], b"\xaa" * b.entry_len)
@@ -326,7 +309,7 @@ class TestFinalizeLengths:
 
     def test_example_header96_payload100(self, registry):
         b = registry.by_alias("B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         hdr.place_entry_points(b, [0], seeded_rng(12))
         hdr.fill_random(seeded_rng(13))
@@ -340,7 +323,7 @@ class TestFinalizeLengths:
 
     def test_empty_payload_ok(self, registry):
         b = registry.by_alias("B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         hdr.place_entry_points(b, [0], seeded_rng(14))
         hdr.fill_random(seeded_rng(15))
@@ -351,7 +334,7 @@ class TestFinalizeLengths:
     @pytest.mark.parametrize("payload_len", [0, 1, 100, 5000, 123456])
     def test_purb_len_always_permitted(self, registry, payload_len):
         b = registry.by_alias("B")
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         hdr.place_entry_points(b, [3], seeded_rng(16))
         hdr.fill_random(seeded_rng(17))
@@ -362,7 +345,7 @@ class TestFinalizeLengths:
         )
 
     def test_requires_fill_first(self, registry):
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([registry.by_alias("B")])
         with pytest.raises(ValueError):
             hdr.finalize_lengths(10, 32, PadSpec.padme())
@@ -370,7 +353,7 @@ class TestFinalizeLengths:
     def test_mac_range_disjoint_from_positions(self, registry):
         rng = seeded_rng(18)
         for payload_len in (0, 10, 200, 4000):
-            hdr = HeaderLayout(registry)
+            hdr = HeaderLayout()
             hdr.reserve_pubkeys(list(registry))
             hdr.fill_random(rng)
             plan = hdr.finalize_lengths(payload_len, 32, PadSpec.padme())
@@ -475,7 +458,7 @@ class TestPlanMetrics:
     @pytest.mark.parametrize("alias", ["A", "B", "pw"])
     def test_compactness_single_recipient(self, registry, alias):
         suite = registry.by_alias(alias)
-        hdr = HeaderLayout(registry)
+        hdr = HeaderLayout()
         hdr.reserve_pubkeys([suite])
         hdr.place_entry_points(suite, [0], seeded_rng(24))
         hdr.fill_random(seeded_rng(25))
@@ -486,7 +469,7 @@ class TestPlanMetrics:
     def test_deterministic_given_seed(self, registry):
         def build(seed):
             rng = seeded_rng(seed)
-            hdr = HeaderLayout(registry)
+            hdr = HeaderLayout()
             hdr.reserve_pubkeys(suites_by_alias(registry, "A", "B"))
             hdr.place_entry_points(registry.by_alias("A"), [5, 6], rng)
             hdr.place_entry_points(registry.by_alias("B"), [7], rng)

@@ -1,14 +1,17 @@
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM, ChaCha20Poly1305
 
 from helpers import K256_N
 from purb.rng import seeded_rng
 from purb.suites import (
+    ENTRY_LEN,
+    ENTRY_PLAIN_LEN,
     PASSWORD,
     PUBLIC_KEY,
-    KdfParams,
-    Registry,
-    SuiteSpec,
+    SUITES,
+    Curve25519Group,
+    Secp256k1Group,
     decap,
     encap,
     keygen,
@@ -36,43 +39,59 @@ class TestRegistry:
     def test_canonical_order(self, registry):
         aliases = [s.alias for s in registry]
         assert aliases == ["A", "B", "C", "D", "E", "F", "pw"]
-        assert [s.order_index for s in registry] == list(range(7))
+        assert [s.suite_id for s in registry] == list(range(7))
 
     def test_password_suite(self, registry):
         pw = registry.by_alias("pw")
         assert pw.kind == PASSWORD
         assert pw.encoded_key_len == 32
-        assert pw.kdf_params is not None
+        assert pw.group is None
 
     def test_entry_len_uniform_48_plus_tag(self, registry):
         for suite in registry:
-            assert suite.entry_len == 48 + suite.ep_tag_len
+            assert suite.entry_len == 48 + 16 == ENTRY_LEN
 
     def test_immutable(self, registry):
         with pytest.raises(Exception):
             registry.by_alias("A").encoded_key_len = 1
 
-    def test_duplicate_order_rejected(self, registry):
-        suites = list(registry)
-        clone = suites[0].__class__(**{**suites[0].__dict__, "order_index": 1, "suite_id": 99})
-        with pytest.raises(ValueError):
-            Registry(suites + [clone])
-
-    def test_overlapping_positions_rejected(self):
-        with pytest.raises(ValueError):
-            SuiteSpec(
-                suite_id=50, alias="X", name="x", order_index=50, kind=PASSWORD,
-                encoded_key_len=32, ep_aead_id="chacha20poly1305", ep_tag_len=16,
-                allowed_positions=(0, 16), kdf_params=KdfParams(),
+    def test_fixed_table(self, registry):
+        # The table is part of the format: each row pinned, then the
+        # properties layout and sealing rely on.
+        k256, x25519 = Secp256k1Group, Curve25519Group
+        chacha = ChaCha20Poly1305
+        want = [
+            (0, "A", PUBLIC_KEY, k256, 64, AESGCM, 16, (0,)),
+            (1, "B", PUBLIC_KEY, x25519, 32, AESGCM, 16, (0, 64)),
+            (2, "C", PUBLIC_KEY, k256, 64, AESGCM, 32, (0, 96)),
+            (3, "D", PUBLIC_KEY, x25519, 32, AESGCM, 32, (0, 32, 64, 160)),
+            (4, "E", PUBLIC_KEY, k256, 64, chacha, 32, (0, 64, 128, 192)),
+            (5, "F", PUBLIC_KEY, x25519, 32, chacha, 32, (0, 32, 64, 96, 128, 256)),
+            (6, "pw", PASSWORD, type(None), 32, chacha, 32, (0, 32, 288)),
+        ]
+        got = [
+            (s.suite_id, s.alias, s.kind, type(s.group), s.encoded_key_len,
+             s.ep_aead, s.ep_key_len, s.allowed_positions)
+            for s in SUITES
+        ]
+        assert got == want
+        assert list(registry) == list(SUITES)
+        for suite in SUITES:
+            assert registry.by_id(suite.suite_id) is suite
+            assert registry.by_alias(suite.alias) is suite
+            if suite.group is not None:
+                assert suite.group.encoded_len == suite.encoded_key_len
+            # Positions start at 0 and their key ranges do not overlap,
+            # or the XOR over positions would count some bytes twice.
+            pos = suite.allowed_positions
+            assert pos[0] == 0
+            for a, b in zip(pos, pos[1:]):
+                assert b >= a + suite.encoded_key_len
+            # Every AEAD takes its key length and adds a 16-byte tag.
+            sealed = suite.ep_aead(bytes(suite.ep_key_len)).encrypt(
+                bytes(12), bytes(ENTRY_PLAIN_LEN), None
             )
-
-    def test_positions_must_include_zero(self):
-        with pytest.raises(ValueError):
-            SuiteSpec(
-                suite_id=51, alias="Y", name="y", order_index=51, kind=PASSWORD,
-                encoded_key_len=32, ep_aead_id="chacha20poly1305", ep_tag_len=16,
-                allowed_positions=(32, 64), kdf_params=KdfParams(),
-            )
+            assert len(sealed) == suite.entry_len
 
 
 class TestKeygen:

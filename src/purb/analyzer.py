@@ -8,8 +8,6 @@ the anonymity-set distribution, and the padding overhead paid for it.
 from __future__ import annotations
 
 import csv
-import math
-import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass
@@ -141,17 +139,4 @@ def write_csv(reports: list[AnonymityReport], path: str) -> None:
                 [r.pad_name, f"{r.unique_pct:.4f}", f"{r.mean_overhead_pct:.4f}",
                  f"{r.median_set:g}", r.max_set]
             )
-
-
-def log_uniform_sizes(
-    count: int, lo: int = 1024, hi: int = 2**30, seed: int = 0
-) -> SizeDataset:
-    """Synthetic sizes spread uniformly in log scale over [lo, hi]."""
-    rnd = random.Random(seed)
-    lo_l, hi_l = math.log(lo), math.log(hi)
-    sizes = [
-        min(hi, max(lo, int(math.exp(rnd.uniform(lo_l, hi_l)))))
-        for _ in range(count)
-    ]
-    return SizeDataset(name=f"log-uniform[{lo},{hi}]", sizes=sizes)
 

@@ -19,6 +19,7 @@ from .rng import RandomSource, seeded_rng, system_rng
 from .suites import (
     PASSWORD,
     PUBLIC_KEY,
+    SUITES,
     default_registry,
     keygen,
     read_secret_key,
@@ -57,7 +58,7 @@ def _string_field(entry: dict, i: int, name: str) -> str:
     return value
 
 
-def _load_recipients(path: str, registry) -> list[Recipient]:
+def _load_recipients(path: str) -> list[Recipient]:
     with open(path, "r", encoding="utf-8") as f:
         entries = json.load(f)
     if not isinstance(entries, list) or not entries:
@@ -68,7 +69,7 @@ def _load_recipients(path: str, registry) -> list[Recipient]:
             raise ValueError(f"recipient {i}: not a JSON object")
         alias = _string_field(entry, i, "suite")
         try:
-            suite = registry.by_alias(alias)
+            suite = default_registry().by_alias(alias)
         except KeyError:
             raise ValueError(f"recipient {i}: unknown suite {alias!r}")
         if suite.kind == PASSWORD:
@@ -93,11 +94,11 @@ def _table_index(suite, start: int) -> int:
     return ((start - suite.ht_base) // suite.entry_len + 1).bit_length() - 1
 
 
-def _blob_map(report, registry) -> dict:
+def _blob_map(report) -> dict:
     """Byte ranges of an encoded blob, [start, end); no key material."""
     suites = []
     for entry in report.suites:
-        suite = registry.by_alias(entry["alias"])
+        suite = default_registry().by_alias(entry["alias"])
         primary = entry["primary"]
         suites.append({
             "alias": suite.alias,
@@ -118,21 +119,20 @@ def _blob_map(report, registry) -> dict:
 
 
 def cmd_encode(args) -> int:
-    registry = default_registry()
     rng = _seed_rng(args.seed)
     try:
-        recipients = _load_recipients(args.to, registry)
+        recipients = _load_recipients(args.to)
         # Throwaway extra recipients mask the real recipient count.
         for _ in range(args.dummy):
             recipients.append(_dummy_recipient(recipients[0].suite, rng))
         with open(args.infile, "rb") as f:
             payload = f.read()
-        blob, report = encode_detailed(recipients, payload, args.pad, rng)
+        blob, report = encode_detailed(recipients, payload, rng)
         with open(args.out, "wb") as f:
             f.write(blob)
         if args.report_json:
             with open(args.report_json, "w", encoding="utf-8") as f:
-                json.dump(_blob_map(report, registry), f, indent=2)
+                json.dump(_blob_map(report), f, indent=2)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -244,25 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Encode and decode padded uniform random blobs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pk_aliases = [s.alias for s in SUITES if s.kind == PUBLIC_KEY]
 
     p = sub.add_parser("keygen", help="generate a key pair for a suite")
-    p.add_argument("--suite", required=True, choices=list("ABCDEF"))
+    p.add_argument("--suite", required=True, choices=pk_aliases)
     p.add_argument("--out", required=True, help="output file prefix")
     p.add_argument(
         "--seed", type=bytes.fromhex, help="hex seed; INSECURE, for tests only"
     )
     p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("encode", help="encrypt a file for a set of recipients")
+    p = sub.add_parser("encode", help="encrypt a file for recipients, Padmé-padded")
     p.add_argument("--to", required=True, help="recipient list (JSON)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--pad",
-        type=PadSpec.from_string,
-        default=PadSpec.padme(),
-        help="padme | next2 | block:<b> | none (default padme)",
-    )
     p.add_argument(
         "--dummy",
         type=_length,
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decrypt a blob")
     p.add_argument("--key", help="private key file")
-    p.add_argument("--suite", choices=list("ABCDEF"))
+    p.add_argument("--suite", choices=pk_aliases)
     p.add_argument("--passphrase", help="decode with a passphrase instead of a key")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)

@@ -3,7 +3,7 @@
 An encoded blob carries, with no cleartext structure: one hidden
 ephemeral key (or salt) per suite at XOR-masked standard positions, one
 AEAD-sealed entry point per recipient in expanding hash tables, the
-stream-encrypted payload, random padding to a permitted length, and a
+stream-encrypted payload, random padding to a Padmé length, and a
 trailing MAC over everything before it.  There is one configuration:
 the payload is ChaCha20, the MAC HMAC-SHA256 and the payload-key hash
 SHA-256.  Each entry point's meta names them with the ids 01 01 01, and
@@ -52,7 +52,6 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from . import layout as layout_mod
 from . import suites as suites_mod
-from .padding import PadSpec
 from .rng import RandomSource, system_rng
 from .suites import (
     ENTRY_PLAIN_LEN,
@@ -60,6 +59,7 @@ from .suites import (
     PASSWORD,
     PUBLIC_KEY,
     SESSION_KEY_LEN,
+    TAG_LEN,
     SuiteSpec,
     default_registry,
 )
@@ -111,7 +111,7 @@ def _hmac_sha256(key: bytes, data: bytes) -> bytes:
 
 # Looked up at call time: benchmark tracing and tests wrap these entries.
 PAYLOAD_SCHEMES = {CHACHA20_SCHEME: _chacha20_stream}
-MACS = {HMAC_SHA256: (_hmac_sha256, 32)}
+MACS = {HMAC_SHA256: _hmac_sha256}
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,8 @@ class DecodeError(Exception):
 
 def derive_entry_keys(k: bytes, suite: SuiteSpec) -> tuple[bytes, int]:
     """Split one shared secret into an encryption key and a position key."""
-    z = suite.derive_hash(b"key" + k)[: suite.ep_key_len]
-    p = int.from_bytes(suite.derive_hash(b"pos" + k), "big")
+    z = suites_mod.derive_hash(b"key" + k)[: suite.ep_key_len]
+    p = int.from_bytes(suites_mod.derive_hash(b"pos" + k), "big")
     return z, p
 
 
@@ -303,7 +303,6 @@ def _beside(background, foreground):
 def encode_detailed(
     recipients: list[Recipient],
     payload: bytes,
-    pad: PadSpec | None = None,
     rng: RandomSource | None = None,
 ) -> tuple[bytes, EncodeReport]:
     """Encode a payload for a set of recipients; see module docstring.
@@ -316,7 +315,6 @@ def encode_detailed(
         raise ValueError("recipient list is empty")
     if len(payload) >= MAX_OFFSET:
         raise ValueError("payload too large for 48-bit offsets")
-    pad = pad or PadSpec.padme()
     rng = rng or system_rng()
 
     groups = _group_recipients(recipients)
@@ -387,8 +385,7 @@ def encode_detailed(
         for suite, zps in entry_keys
     ]
     hdr.fill_random(rng)
-    mac_fn, mac_len = MACS[HMAC_SHA256]
-    plan = hdr.finalize_lengths(len(payload), mac_len, pad)
+    plan = hdr.finalize_lengths(len(payload))
 
     key_enc, key_mac = derive_payload_keys(session_key)
 
@@ -407,7 +404,7 @@ def encode_detailed(
         )
         for suite, tau in taus:
             layout_mod.xor_encode(view, suite, tau, plan.pubkey_pos[suite.suite_id])
-        view[plan.mac_pos :] = mac_fn(key_mac, view[: plan.mac_pos])
+        view[plan.mac_pos :] = MACS[HMAC_SHA256](key_mac, view[: plan.mac_pos])
 
     report = EncodeReport(
         purb_len=plan.purb_len,
@@ -487,16 +484,15 @@ def _decode(blob: memoryview, identity: Identity, stats: DecodeStats) -> bytes:
 
     session_key = plain[:SESSION_KEY_LEN]
     meta = Meta.unpack(plain[SESSION_KEY_LEN:])
-    mac_fn, mac_len = MACS[HMAC_SHA256]
-    if mac_len >= len(blob):
+    if TAG_LEN >= len(blob):
         raise DecodeError(stats)
-    mac_pos = len(blob) - mac_len
+    mac_pos = len(blob) - TAG_LEN
     if meta.payload_end > mac_pos:
         raise DecodeError(stats)
     key_enc, key_mac = derive_payload_keys(session_key)
 
     def tag() -> bytes:
-        return mac_fn(key_mac, blob[:mac_pos])
+        return MACS[HMAC_SHA256](key_mac, blob[:mac_pos])
 
     def payload() -> bytes:
         # Decrypted in place into the buffer that becomes the result.

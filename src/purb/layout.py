@@ -8,8 +8,8 @@ doubling sizes starting right after the suite's first possible position.
 A decoder tries its slot in every table in order, so the encoder may put
 each entry in any table; it picks the assignment with the lowest last
 slot, which keeps the header short.  The finished blob is padded so that
-the trailing authentication tag never lands on any suite's key
-position, and the whole length is always a permitted padded length.
+the trailing TAG_LEN-byte tag never lands on any suite's key position,
+and the whole length is always a Padmé length.
 """
 
 from __future__ import annotations
@@ -19,7 +19,11 @@ from dataclasses import dataclass, field
 
 from .padding import PadSpec
 from .rng import RandomSource
-from .suites import SUITES, SuiteSpec
+from .suites import SUITES, TAG_LEN, SuiteSpec
+
+# Every blob pads with Padmé.  Called through PadSpec.pad_len, which
+# benchmark tracing wraps, not through padme_len.
+_PADME = PadSpec.padme()
 
 
 @dataclass
@@ -248,13 +252,13 @@ class HeaderLayout:
         _mark(self.occupied, 0, end)
         self._filled = True
 
-    def _mac_collides(self, purb_len: int, mac_len: int) -> bool:
+    def _mac_collides(self, purb_len: int) -> bool:
         """Would the tag at the blob tail touch any suite's key position?
 
         Checked against every suite in SUITES, not just the suites in
         use: decoders of any suite XOR those ranges.
         """
-        mac_pos = purb_len - mac_len
+        mac_pos = purb_len - TAG_LEN
         for suite in SUITES:
             klen = suite.encoded_key_len
             for pos in suite.allowed_positions:
@@ -262,20 +266,18 @@ class HeaderLayout:
                     return True
         return False
 
-    def finalize_lengths(
-        self, payload_len: int, mac_len: int, pad: PadSpec
-    ) -> HeaderPlan:
+    def finalize_lengths(self, payload_len: int) -> HeaderPlan:
         """Fix payload, padding, tag offsets and the total padded length."""
         if not self._filled:
             raise ValueError("header must be filled before finalizing")
         plan = self.plan
         plan.payload_start = self.end
         plan.payload_end = plan.payload_start + payload_len
-        purb_len = pad.pad_len(plan.payload_end + mac_len)
-        while self._mac_collides(purb_len, mac_len):
-            purb_len = pad.pad_len(purb_len + 1)
+        purb_len = _PADME.pad_len(plan.payload_end + TAG_LEN)
+        while self._mac_collides(purb_len):
+            purb_len = _PADME.pad_len(purb_len + 1)
         plan.purb_len = purb_len
-        plan.mac_pos = purb_len - mac_len
+        plan.mac_pos = purb_len - TAG_LEN
         return plan
 
     def build_blob(self, rng: RandomSource) -> io.BytesIO:

@@ -1,12 +1,13 @@
 """Cipher suites: groups, point-hiding codecs, AEADs, hashes, positions.
 
-A suite fixes everything one header layer needs: the group and its
-uniform point codec, the entry-point AEAD and its key length, the two
-hash roles (SHA-256 under two prefixes: shared secret to key material,
-and labeled derivations), and the public list of byte offsets where the
+A suite fixes the group and its uniform point codec, the entry-point
+AEAD and its key length, and the public list of byte offsets where the
 suite's encoded key may live in a blob.  SUITES is the one suite table,
 a public constant of the format like the scrypt cost in password_secret:
 suite_id is the canonical order, and every entry point is 64 bytes.
+All suites share the two hash roles, SHA-256 under two prefixes:
+kem_hash (shared secret to key material) and derive_hash (labeled
+derivations).
 """
 
 from __future__ import annotations
@@ -36,9 +37,20 @@ META_LEN = 16
 ENTRY_PLAIN_LEN = SESSION_KEY_LEN + META_LEN
 ENTRY_LEN = ENTRY_PLAIN_LEN + 16
 
+# The HMAC-SHA256 tag at the end of every blob.
+TAG_LEN = 32
+
 # Domain-separation prefixes keeping the two hash roles distinct.
 _KEM_PREFIX = b"purb-H"
 _DERIVE_PREFIX = "purb-Ĥ".encode()  # H-circumflex
+
+
+def kem_hash(shared: bytes) -> bytes:
+    return hashlib.sha256(_KEM_PREFIX + shared).digest()
+
+
+def derive_hash(data: bytes) -> bytes:
+    return hashlib.sha256(_DERIVE_PREFIX + data).digest()
 
 
 class Curve25519Group:
@@ -133,12 +145,6 @@ class SuiteSpec:
     def ht_base(self) -> int:
         """Hash tables start right after the first possible key position."""
         return self.allowed_positions[0] + self.encoded_key_len
-
-    def kem_hash(self, shared: bytes) -> bytes:
-        return hashlib.sha256(_KEM_PREFIX + shared).digest()
-
-    def derive_hash(self, data: bytes) -> bytes:
-        return hashlib.sha256(_DERIVE_PREFIX + data).digest()
 
 
 @dataclass(frozen=True)
@@ -243,7 +249,7 @@ def encap(suite: SuiteSpec, eph: KeyPair, recipients: Sequence[object]) -> list[
         raise ValueError("encap needs a public-key suite")
     if not recipients:
         raise ValueError("no recipients")
-    return [suite.kem_hash(suite.group.dh(eph.native_key, pk)) for pk in recipients]
+    return [kem_hash(suite.group.dh(eph.native_key, pk)) for pk in recipients]
 
 
 def decap(suite: SuiteSpec, sk: object, tau: bytes) -> bytes:
@@ -256,7 +262,7 @@ def decap(suite: SuiteSpec, sk: object, tau: bytes) -> bytes:
     if len(tau) != suite.encoded_key_len:
         raise ValueError("encoded key has wrong length")
     element = suite.group.unhide(tau)
-    return suite.kem_hash(suite.group.dh(sk, element))
+    return kem_hash(suite.group.dh(sk, element))
 
 
 def password_secret(suite: SuiteSpec, salt: bytes, passphrase: bytes) -> bytes:
@@ -290,8 +296,3 @@ def read_secret_key(path: str) -> bytes:
         except ValueError:
             pass
     return data
-
-
-def read_public_key(path: str) -> bytes:
-    with open(path, "r", encoding="ascii") as f:
-        return bytes.fromhex(f.read().strip())

@@ -9,14 +9,19 @@ secp256k1 pair codec's forward map by Euler's criterion and a 256-bit
 exponentiation in place of SEC1 decompression, XOR masking
 of key positions one byte at a time, the seeded byte stream by its
 SHA-256 counter definition, and entry-point placement by Hall's
-condition over every subset of keys.
+condition over every subset of keys.  Two test-data helpers close the
+module: log-uniform synthetic sizes and the reader of a .pk key file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import random
 from fractions import Fraction
+
+from purb.analyzer import SizeDataset
 
 
 def permitted_length(n: int) -> bool:
@@ -310,3 +315,22 @@ def min_max_last_slot(position_keys: list[int], blocked: set[int]) -> int:
         ):
             return bound
         bound += 1
+
+
+def log_uniform_sizes(
+    count: int, lo: int = 1024, hi: int = 2**30, seed: int = 0
+) -> SizeDataset:
+    """Synthetic sizes spread uniformly in log scale over [lo, hi]."""
+    rnd = random.Random(seed)
+    lo_l, hi_l = math.log(lo), math.log(hi)
+    sizes = [
+        min(hi, max(lo, int(math.exp(rnd.uniform(lo_l, hi_l)))))
+        for _ in range(count)
+    ]
+    return SizeDataset(name=f"log-uniform[{lo},{hi}]", sizes=sizes)
+
+
+def read_public_key(path: str) -> bytes:
+    """The hidden public key in a .pk file, written as hex text."""
+    with open(path, "r", encoding="ascii") as f:
+        return bytes.fromhex(f.read().strip())

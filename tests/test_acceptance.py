@@ -17,16 +17,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import padme_worst_overhead
+from helpers import log_uniform_sizes, padme_worst_overhead
 from strawman import encode_flat, scan_flat
-from purb.analyzer import SizeDataset, log_uniform_sizes, profile
+from purb.analyzer import SizeDataset, profile
 from purb.codec import DecodeError, Identity, Recipient, decode, encode_detailed
 from purb.layout import xor_extract
 from purb.padding import PadSpec, leakage_bits, padme_len, padme_params
 from purb.rng import seeded_rng
 from purb.suites import PASSWORD, keygen
-
-PAD = PadSpec.padme()
 
 
 @contextmanager
@@ -162,7 +160,7 @@ def test_criterion_5_round_trip_matrix(registry):
             for r in (1, 3, 10, 100):
                 for pi, payload in enumerate(payloads):
                     rng = seeded_rng(b"matrix-%s-%d-%d" % (alias.encode(), r, pi))
-                    blob, _ = encode_detailed(recipients[:r], payload, PAD, rng)
+                    blob, _ = encode_detailed(recipients[:r], payload, rng)
                     for ident in identities[:r]:
                         out, _ = decode(blob, ident)
                         assert out == payload, (alias, r, pi)
@@ -174,7 +172,7 @@ def test_criterion_6_compactness(registry):
             suite = registry.by_alias(alias)
             recipients, identities = make_members(registry, alias, 1, seed=600)
             _, report = encode_detailed(
-                recipients, b"compact", PAD, seeded_rng(601)
+                recipients, b"compact", seeded_rng(601)
             )
             assert report.header_len == suite.encoded_key_len + suite.entry_len, alias
             assert report.compactness == 1.0, alias
@@ -188,7 +186,7 @@ def test_criterion_7_decode_cost(registry):
             rng = seeded_rng(b"cost-%d" % r)
             kps = [keygen(suite, rng) for _ in range(r)]
             recipients = [Recipient.public_key(suite, kp.pk_encoded) for kp in kps]
-            blob, _ = encode_detailed(recipients, b"cost", PAD, rng)
+            blob, _ = encode_detailed(recipients, b"cost", rng)
             trials = []
             for _ in range(100):
                 kp = kps[int.from_bytes(pick.randbytes(4), "big") % r]
@@ -204,8 +202,8 @@ def test_criterion_7_decode_cost(registry):
         kps = [keygen(suite, rng) for _ in range(r)]
         recipients = [Recipient.public_key(suite, kp.pk_encoded) for kp in kps]
         outsider = keygen(suite, rng)
-        flat_blob, _ = encode_flat(recipients, b"x" * 64, PAD, rng)
-        std_blob, _ = encode_detailed(recipients, b"x" * 64, PAD, rng)
+        flat_blob, _ = encode_flat(recipients, b"x" * 64, rng)
+        std_blob, _ = encode_detailed(recipients, b"x" * 64, rng)
         opened, worst_flat = scan_flat(flat_blob, Identity(suite, secret_key=outsider.sk))
         assert opened is None
         with pytest.raises(DecodeError) as std_fail:
@@ -238,7 +236,7 @@ def test_criterion_8_tamper(registry):
                 Recipient.public_key(suite, other.pk_encoded),
             ]
             payload = bytes([blob_index]) * (40 + 13 * blob_index)
-            blob, _ = encode_detailed(recipients, payload, PAD, rng)
+            blob, _ = encode_detailed(recipients, payload, rng)
             ident = Identity(suite, secret_key=kp.sk)
             decode(blob, ident)  # sanity: untampered blob decodes
             for _ in range(200):
@@ -258,7 +256,7 @@ def test_criterion_9_uniformity_screen(registry):
         recipients = [Recipient.public_key(suite, kp.pk_encoded)]
         payload = b"\x00" * 128  # worst case: all-zero plaintext
         blobs = [
-            encode_detailed(recipients, payload, PAD, seeded_rng(b"uni-%d" % i))[0]
+            encode_detailed(recipients, payload, seeded_rng(b"uni-%d" % i))[0]
             for i in range(1000)
         ]
         assert len({len(b) for b in blobs}) == 1
@@ -285,7 +283,7 @@ def test_criterion_10_length_privacy(registry):
                 rs = [Recipient.public_key(b, kp.pk_encoded)]
                 lengths.append(
                     sorted(
-                        len(encode_detailed(rs, payload, PAD, seeded_rng(b"lp1-%d" % s))[0])
+                        len(encode_detailed(rs, payload, seeded_rng(b"lp1-%d" % s))[0])
                         for s in range(100)
                     )
                 )
@@ -301,7 +299,7 @@ def test_criterion_10_length_privacy(registry):
             rs += make_members(registry, "A", 2, seed=keyseed + 1)[0]
             multisets.append(
                 sorted(
-                    len(encode_detailed(rs, payload, PAD, seeded_rng(b"lp2-%d" % s))[0])
+                    len(encode_detailed(rs, payload, seeded_rng(b"lp2-%d" % s))[0])
                     for s in range(100)
                 )
             )
@@ -327,7 +325,7 @@ def test_criterion_11_structural_fuzz(registry, keypairs):
             if round_no % 10 == 0:
                 recipients.append(Recipient.password(pw, b"fuzz-%d" % round_no))
             payload = rng.randbytes(int.from_bytes(rng.randbytes(2), "big") % 2000)
-            blob, report = encode_detailed(recipients, payload, PAD, rng)
+            blob, report = encode_detailed(recipients, payload, rng)
 
             assert len(blob) == padme_len(len(blob))
             for entry in report.suites:

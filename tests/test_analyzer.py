@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import log_uniform_sizes
 from purb.analyzer import (
     SizeDataset,
     compare,
     load_sizes,
-    log_uniform_sizes,
     profile,
     render_table,
     write_csv,

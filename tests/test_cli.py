@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from helpers import read_public_key
 from purb import cli
 from purb.cli import main
-from purb.suites import read_public_key, read_secret_key
+from purb.padding import padme_len
+from purb.suites import PUBLIC_KEY, SUITES, read_secret_key
 
 
 def run(*args):
@@ -45,6 +47,19 @@ class TestKeygen:
         with pytest.raises(SystemExit) as info:
             run("keygen", "--suite", "B", "--out", tmp_path / "k", "--seed", "zz")
         assert info.value.code == 2
+
+    def test_suite_choices_are_the_public_key_suites(self, capsys):
+        # keygen and decode take --suite from the public-key rows of SUITES.
+        parser = cli.build_parser()
+        for command in (["keygen", "--out", "k"], ["decode", "--in", "i", "--out", "o"]):
+            for suite in SUITES:
+                argv = command + ["--suite", suite.alias]
+                if suite.kind == PUBLIC_KEY:
+                    assert parser.parse_args(argv).suite == suite.alias
+                else:
+                    with pytest.raises(SystemExit) as info:
+                        parser.parse_args(argv)
+                    assert info.value.code == 2
 
     def test_unwritable_path(self, tmp_path, capsys):
         assert run("keygen", "--suite", "B", "--out", str(tmp_path / "no" / "k")) == 2
@@ -106,7 +121,7 @@ class TestEncodeDecode:
         assert code == 1
         assert capsys.readouterr().out.strip() == "decode failed"
 
-    def test_pad_none_length(self, tmp_path, keyfiles, capsys):
+    def test_encode_pads_with_padme(self, tmp_path, keyfiles, capsys):
         sk_path, pk_path = keyfiles
         rcpt = tmp_path / "r.json"
         rcpt.write_text(json.dumps([{"suite": "B", "pubkey": open(pk_path).read().strip()}]))
@@ -114,9 +129,13 @@ class TestEncodeDecode:
         payload = b"\x00" * 1000  # large enough that the tag clears all key positions
         msg.write_bytes(payload)
         blob = tmp_path / "m.purb"
-        assert run("encode", "--to", rcpt, "--in", msg, "--out", blob, "--pad", "none") == 0
+        assert run("encode", "--to", rcpt, "--in", msg, "--out", blob) == 0
         header = 96
-        assert blob.stat().st_size == header + len(payload) + 32
+        assert blob.stat().st_size == padme_len(header + len(payload) + 32) == 1152
+        # No padding option: a blob of any other length would leak its size.
+        with pytest.raises(SystemExit) as info:
+            run("encode", "--to", rcpt, "--in", msg, "--out", blob, "--pad", "none")
+        assert info.value.code == 2
 
     def encode_with_dummies(self, tmp_path, monkeypatch, alias, key_paths):
         # Dummy public keys are random strings: no key pair is generated.

@@ -12,7 +12,6 @@ from helpers import (
 )
 from purb.codec import Identity, Recipient, decode, derive_entry_keys, encode_detailed
 from purb.layout import HeaderLayout, in_range_positions, xor_encode, xor_extract
-from purb.padding import PadSpec
 from purb.rng import seeded_rng
 from purb.suites import decap, keygen
 
@@ -221,7 +220,7 @@ class TestMinMaxPlacement:
         rng = seeded_rng(b"min-max-300")
         kps = [keygen(b, rng) for _ in range(300)]
         recipients = [Recipient.public_key(b, kp.pk_encoded) for kp in kps]
-        blob, report = encode_detailed(recipients, b"tables", PadSpec.padme(), rng)
+        blob, report = encode_detailed(recipients, b"tables", rng)
         (entry,) = report.suites
         tau = xor_extract(blob, b)
         keys = []
@@ -314,7 +313,7 @@ class TestFinalizeLengths:
         hdr.place_entry_points(b, [0], seeded_rng(12))
         hdr.fill_random(seeded_rng(13))
         assert hdr.end == 96
-        plan = hdr.finalize_lengths(100, 32, PadSpec.padme())
+        plan = hdr.finalize_lengths(100)
         want = self.mac_clear_oracle(registry, 96 + 100 + 32, 32)
         assert plan.purb_len == want == 352
         assert plan.mac_pos == plan.purb_len - 32
@@ -327,7 +326,7 @@ class TestFinalizeLengths:
         hdr.reserve_pubkeys([b])
         hdr.place_entry_points(b, [0], seeded_rng(14))
         hdr.fill_random(seeded_rng(15))
-        plan = hdr.finalize_lengths(0, 32, PadSpec.padme())
+        plan = hdr.finalize_lengths(0)
         assert plan.purb_len >= hdr.end + 32
         assert plan.payload_start == plan.payload_end
 
@@ -338,7 +337,7 @@ class TestFinalizeLengths:
         hdr.reserve_pubkeys([b])
         hdr.place_entry_points(b, [3], seeded_rng(16))
         hdr.fill_random(seeded_rng(17))
-        plan = hdr.finalize_lengths(payload_len, 32, PadSpec.padme())
+        plan = hdr.finalize_lengths(payload_len)
         assert permitted_length(plan.purb_len)
         assert plan.purb_len == self.mac_clear_oracle(
             registry, hdr.end + payload_len + 32, 32
@@ -348,7 +347,7 @@ class TestFinalizeLengths:
         hdr = HeaderLayout()
         hdr.reserve_pubkeys([registry.by_alias("B")])
         with pytest.raises(ValueError):
-            hdr.finalize_lengths(10, 32, PadSpec.padme())
+            hdr.finalize_lengths(10)
 
     def test_mac_range_disjoint_from_positions(self, registry):
         rng = seeded_rng(18)
@@ -356,7 +355,7 @@ class TestFinalizeLengths:
             hdr = HeaderLayout()
             hdr.reserve_pubkeys(list(registry))
             hdr.fill_random(rng)
-            plan = hdr.finalize_lengths(payload_len, 32, PadSpec.padme())
+            plan = hdr.finalize_lengths(payload_len)
             for suite in registry:
                 for p in suite.allowed_positions:
                     if p < plan.purb_len:
@@ -420,7 +419,7 @@ class TestXorCoding:
                 pk = keypairs[suite.alias][0].pk_encoded
                 recipient = Recipient.public_key(suite, pk)
             rng = seeded_rng(b"xor-" + suite.alias.encode())
-            blob, report = encode_detailed([recipient], bytes(400), PadSpec.padme(), rng)
+            blob, report = encode_detailed([recipient], bytes(400), rng)
             positions = in_range_positions(suite, len(blob))
             in_payload += sum(
                 report.payload_start <= p < report.payload_end for p in positions
@@ -462,7 +461,7 @@ class TestPlanMetrics:
         hdr.reserve_pubkeys([suite])
         hdr.place_entry_points(suite, [0], seeded_rng(24))
         hdr.fill_random(seeded_rng(25))
-        plan = hdr.finalize_lengths(10, 32, PadSpec.padme())
+        plan = hdr.finalize_lengths(10)
         assert plan.header_len == suite.encoded_key_len + suite.entry_len
         assert plan.compactness() == 1.0
 
@@ -474,7 +473,7 @@ class TestPlanMetrics:
             hdr.place_entry_points(registry.by_alias("A"), [5, 6], rng)
             hdr.place_entry_points(registry.by_alias("B"), [7], rng)
             hdr.fill_random(rng)
-            hdr.finalize_lengths(64, 32, PadSpec.padme())
+            hdr.finalize_lengths(64)
             return hdr.build_blob(rng).getvalue()
 
         assert build(77) == build(77)

@@ -2,7 +2,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM, ChaCha20Poly1305
 
-from helpers import K256_N
+from helpers import K256_N, read_public_key
 from purb.rng import seeded_rng
 from purb.suites import (
     ENTRY_LEN,
@@ -16,7 +16,6 @@ from purb.suites import (
     encap,
     keygen,
     password_secret,
-    read_public_key,
     read_secret_key,
     write_key_files,
 )

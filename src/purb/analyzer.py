@@ -111,8 +111,11 @@ def compare(ds: SizeDataset, specs: list[PadSpec]) -> list[AnonymityReport]:
     return [profile(ds, spec) for spec in specs]
 
 
+# The report's columns, in the table and in the CSV.
+COLUMNS = ("pad", "unique_pct", "mean_overhead_pct", "median_set", "max_set")
+
+
 def render_table(reports: list[AnonymityReport]) -> str:
-    headers = ["pad", "unique_pct", "mean_overhead_pct", "median_set", "max_set"]
     rows = [
         [
             r.pad_name,
@@ -123,8 +126,8 @@ def render_table(reports: list[AnonymityReport]) -> str:
         ]
         for r in reports
     ]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
+    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(COLUMNS)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(COLUMNS, widths))]
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
@@ -133,7 +136,7 @@ def render_table(reports: list[AnonymityReport]) -> str:
 def write_csv(reports: list[AnonymityReport], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["pad", "unique_pct", "mean_overhead_pct", "median_set", "max_set"])
+        writer.writerow(COLUMNS)
         for r in reports:
             writer.writerow(
                 [r.pad_name, f"{r.unique_pct:.4f}", f"{r.mean_overhead_pct:.4f}",

@@ -14,6 +14,7 @@ from .codec import (
     decode,
     encode_detailed,
 )
+from .layout import table_index
 from .padding import PadSpec, overhead
 from .rng import RandomSource, seeded_rng, system_rng
 from .suites import (
@@ -89,11 +90,6 @@ def _dummy_recipient(suite, rng) -> Recipient:
     return Recipient.public_key(suite, rng.randbytes(suite.encoded_key_len))
 
 
-def _table_index(suite, start: int) -> int:
-    """Table j starts 2^j - 1 slots past the suite's ht_base."""
-    return ((start - suite.ht_base) // suite.entry_len + 1).bit_length() - 1
-
-
 def _blob_map(report) -> dict:
     """Byte ranges of an encoded blob, [start, end); no key material."""
     suites = []
@@ -104,7 +100,7 @@ def _blob_map(report) -> dict:
             "alias": suite.alias,
             "primary": [primary, primary + suite.encoded_key_len],
             "entries": [
-                {"range": [start, end], "table": _table_index(suite, start)}
+                {"range": [start, end], "table": table_index(suite, start)}
                 for start, end in entry["slots"]
             ],
         })

@@ -44,7 +44,7 @@ from __future__ import annotations
 import hmac as hmac_mod
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 from cryptography.exceptions import InvalidTag
@@ -52,6 +52,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from . import layout as layout_mod
 from . import suites as suites_mod
+from .layout import EncodeReport
 from .rng import RandomSource, system_rng
 from .suites import (
     ENTRY_PLAIN_LEN,
@@ -195,27 +196,15 @@ class DecodeStats:
     trial_count: int = 0
 
 
-@dataclass
-class EncodeReport:
-    purb_len: int = 0
-    header_len: int = 0
-    payload_start: int = 0
-    payload_end: int = 0
-    mac_pos: int = 0
-    compactness: float = 1.0
-    entry_count: int = 0
-    suites: list[dict] = field(default_factory=list)
-
-
 class DecodeError(Exception):
     """Uniform decoding failure; carries no diagnostic detail.
 
     The stats attribute exists for instrumentation and benchmarks only.
     """
 
-    def __init__(self, stats: DecodeStats | None = None):
+    def __init__(self, stats: DecodeStats):
         super().__init__("decode failed")
-        self.stats = stats or DecodeStats()
+        self.stats = stats
 
 
 def derive_entry_keys(k: bytes, suite: SuiteSpec) -> tuple[bytes, int]:
@@ -380,19 +369,18 @@ def encode_detailed(
 
     hdr = layout_mod.HeaderLayout()
     hdr.reserve_pubkeys([suite for suite, _ in groups])
-    slots_per_suite = [
+    for suite, zps in entry_keys:
         hdr.place_entry_points(suite, [p for _, p in zps], rng)
-        for suite, zps in entry_keys
-    ]
     hdr.fill_random(rng)
-    plan = hdr.finalize_lengths(len(payload))
+    report = hdr.finalize_lengths(len(payload))
 
     key_enc, key_mac = derive_payload_keys(session_key)
 
-    meta = Meta(payload_start=plan.payload_start, payload_end=plan.payload_end)
+    meta = Meta(payload_start=report.payload_start, payload_end=report.payload_end)
     plain = session_key + meta.pack()
-    for (suite, zps), slots in zip(entry_keys, slots_per_suite):
-        for (z, _), slot in zip(zps, slots):
+    # report.suites is in canonical order, as entry_keys and taus are.
+    for (suite, zps), entry in zip(entry_keys, report.suites):
+        for (z, _), slot in zip(zps, entry["slots"]):
             hdr.write_entry(slot, seal_entry_point(suite, z, plain))
 
     blob = hdr.build_blob(rng)
@@ -400,30 +388,13 @@ def encode_detailed(
         # The ciphertext goes in before the XOR step: a suite's key
         # positions may fall inside the payload region.
         PAYLOAD_SCHEMES[CHACHA20_SCHEME](
-            key_enc, payload, view[plan.payload_start : plan.payload_end]
+            key_enc, payload, view[report.payload_start : report.payload_end]
         )
-        for suite, tau in taus:
-            layout_mod.xor_encode(view, suite, tau, plan.pubkey_pos[suite.suite_id])
-        view[plan.mac_pos :] = MACS[HMAC_SHA256](key_mac, view[: plan.mac_pos])
+        for (suite, tau), entry in zip(taus, report.suites):
+            entry["tau"] = tau
+            layout_mod.xor_encode(view, suite, tau, entry["primary"])
+        view[report.mac_pos :] = MACS[HMAC_SHA256](key_mac, view[: report.mac_pos])
 
-    report = EncodeReport(
-        purb_len=plan.purb_len,
-        header_len=plan.header_len,
-        payload_start=plan.payload_start,
-        payload_end=plan.payload_end,
-        mac_pos=plan.mac_pos,
-        compactness=plan.compactness(),
-        entry_count=sum(len(s) for s in slots_per_suite),
-        suites=[
-            {
-                "alias": suite.alias,
-                "tau": tau,
-                "primary": plan.pubkey_pos[suite.suite_id],
-                "slots": slots,
-            }
-            for (suite, tau), slots in zip(taus, slots_per_suite)
-        ],
-    )
     # The view is released, so this is the buffer itself, not a copy.
     return blob.getvalue(), report
 
@@ -469,18 +440,13 @@ def _decode(blob: memoryview, identity: Identity, stats: DecodeStats) -> bytes:
         k = suites_mod.password_secret(suite, tau, identity.passphrase)
     z, pkey = derive_entry_keys(k, suite)
 
-    ep_len = suite.entry_len
-    plain = None
-    ht_len, ht_pos = 1, 0
-    while plain is None:
-        start = suite.ht_base + ht_pos + (pkey % ht_len) * ep_len
-        end = start + ep_len
-        if end > len(blob):
-            raise DecodeError(stats)
+    for start, end in layout_mod.table_slots(suite, pkey, len(blob)):
         stats.trial_count += 1
         plain = open_entry_point(suite, z, blob[start:end])
-        ht_pos += ht_len * ep_len
-        ht_len *= 2
+        if plain is not None:
+            break
+    else:
+        raise DecodeError(stats)
 
     session_key = plain[:SESSION_KEY_LEN]
     meta = Meta.unpack(plain[SESSION_KEY_LEN:])

@@ -3,23 +3,23 @@
 Builds the header as a growable byte array with two reservation maps:
 one for written content, one for key positions pinned by earlier suites.
 A suite's primary key position is the first of its allowed positions not
-pinned by an earlier suite; its entry points go into hash tables of
-doubling sizes starting right after the suite's first possible position.
-A decoder tries its slot in every table in order, so the encoder may put
-each entry in any table; it picks the assignment with the lowest last
-slot, which keeps the header short.  The finished blob is padded so that
-the trailing TAG_LEN-byte tag never lands on any suite's key position,
-and the whole length is always a Padmé length.
+pinned by an earlier suite; its entry points go into the hash tables
+that table_slots walks, in the assignment with the lowest last slot,
+which keeps the header short.  The finished blob is padded so that the
+trailing TAG_LEN-byte tag never lands on any suite's key position, and
+the whole length is always a Padmé length.  EncodeReport, filled in as
+the header is built, is the one record of that geometry.
 """
 
 from __future__ import annotations
 
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .padding import PadSpec
 from .rng import RandomSource
-from .suites import SUITES, TAG_LEN, SuiteSpec
+from .suites import ENTRY_LEN, SUITES, TAG_LEN, SuiteSpec, default_registry
 
 # Every blob pads with Padmé.  Called through PadSpec.pad_len, which
 # benchmark tracing wraps, not through padme_len.
@@ -27,26 +27,42 @@ _PADME = PadSpec.padme()
 
 
 @dataclass
-class HeaderPlan:
-    pubkey_pos: dict[int, int] = field(default_factory=dict)
+class EncodeReport:
+    """Geometry of one blob, in byte offsets.
+
+    suites holds one dict per suite, in canonical order: its "alias", its
+    "primary" key position and its entry "slots", (start, end) in
+    recipient order; encode adds the suite's hidden key or salt as "tau".
+    """
+
+    suites: list[dict] = field(default_factory=list)
     payload_start: int = 0
     payload_end: int = 0
     mac_pos: int = 0
     purb_len: int = 0
-    labels: list[tuple[int, int, str]] = field(default_factory=list)
 
     @property
     def header_len(self) -> int:
         return self.payload_start
 
+    @property
+    def entry_count(self) -> int:
+        return sum(len(s["slots"]) for s in self.suites)
+
+    @property
+    def pubkey_pos(self) -> dict[int, int]:
+        """Each suite's primary key position, by suite id."""
+        by_alias = default_registry().by_alias
+        return {by_alias(s["alias"]).suite_id: s["primary"] for s in self.suites}
+
+    @property
     def compactness(self) -> float:
         """Fraction of header bytes carrying keys or entry points."""
-        useful = sum(b - a for a, b, _ in self.labels)
-        return useful / self.payload_start if self.payload_start else 1.0
-
-
-def _is_free(mask: bytearray, start: int, end: int) -> bool:
-    return not any(mask[start:end])
+        if not self.payload_start:
+            return 1.0
+        by_alias = default_registry().by_alias
+        keys = sum(by_alias(s["alias"]).encoded_key_len for s in self.suites)
+        return (keys + ENTRY_LEN * self.entry_count) / self.payload_start
 
 
 def _mark(mask: bytearray, start: int, end: int) -> None:
@@ -55,9 +71,33 @@ def _mark(mask: bytearray, start: int, end: int) -> None:
     mask[start:end] = b"\x01" * (end - start)
 
 
-# Global slot g counts entry lengths from a suite's ht_base.  Table j
-# starts at slot f = 2^j - 1, and f is also the mask of pkey mod 2^j, so a
-# key's slot in that table is f + (pkey & f).
+def _global_slots(position_key: int) -> Iterator[int]:
+    """The key's slot in tables 0, 1, 2, ..., counted in entry lengths
+    from the suite's ht_base.
+
+    Table j holds 2^j slots and starts where table j-1 ends, at slot
+    f = 2^j - 1; f is also the mask of position_key mod 2^j, so the
+    key's slot in table j is f + (position_key & f).
+    """
+    f = 0
+    while True:
+        yield f + (position_key & f)
+        f = 2 * f + 1
+
+
+def table_slots(suite: SuiteSpec, pkey: int, blob_len: int) -> Iterator[tuple[int, int]]:
+    """Position key pkey's (start, end) in tables 0, 1, 2, ..., while it
+    fits in the blob: the order in which a decoder tries them."""
+    for g in _global_slots(pkey):
+        start = suite.ht_base + g * suite.entry_len
+        if start + suite.entry_len > blob_len:
+            return
+        yield start, start + suite.entry_len
+
+
+def table_index(suite: SuiteSpec, start: int) -> int:
+    """The table holding the suite's slot that begins at start."""
+    return ((start - suite.ht_base) // suite.entry_len + 1).bit_length() - 1
 
 
 def _greedy_slots(position_keys: list[int], blocked: set[int]) -> list[int]:
@@ -65,16 +105,21 @@ def _greedy_slots(position_keys: list[int], blocked: set[int]) -> list[int]:
     taken = set(blocked)
     out = []
     for pkey in position_keys:
-        f = 0
-        while f + (pkey & f) in taken:
-            f = 2 * f + 1
-        out.append(f + (pkey & f))
-        taken.add(out[-1])
+        for g in _global_slots(pkey):
+            if g not in taken:
+                break
+        out.append(g)
+        taken.add(g)
     return out
 
 
 def _augment(
-    root: int, bound: int, cands: list[list[int]], owner: list[int], slot_of: list[int]
+    root: int,
+    bound: int,
+    position_keys: list[int],
+    blocked: set[int],
+    owner: list[int],
+    slot_of: list[int],
 ) -> bool:
     """Kuhn's augmenting-path search, iterative: give the unplaced entry
     root a slot below bound, moving other entries along the path.
@@ -82,14 +127,15 @@ def _augment(
     Changes nothing and returns False when no such path exists.
     """
     seen = set()
-    stack = [iter(cands[root])]  # per entry on the path, its slots left to try
+    # Per entry on the path, its slots left to try.
+    stack = [_global_slots(position_keys[root])]
     path = [root]  # path[d] moves to took[d], taken from path[d + 1]
     took = []
     while stack:
-        for slot in stack[-1]:  # candidates ascend: the first >= bound ends them
+        for slot in stack[-1]:  # slots ascend: the first >= bound ends them
             if slot >= bound:
                 break
-            if slot not in seen:
+            if slot not in seen and slot not in blocked:
                 seen.add(slot)
                 took.append(slot)
                 if owner[slot] < 0:
@@ -98,10 +144,8 @@ def _augment(
                         slot_of[e] = s
                     return True
                 path.append(owner[slot])
-                stack.append(iter(cands[owner[slot]]))
+                stack.append(_global_slots(position_keys[owner[slot]]))
                 break
-        else:
-            slot = bound
         if slot >= bound:  # no way on from this entry
             stack.pop()
             path.pop()
@@ -124,12 +168,6 @@ def _min_max_slots(position_keys: list[int], blocked: set[int]) -> list[int]:
     top = max(slot_of, default=0)
     if n <= 1 or top == n - 1:  # n keys need n slots: greedy is optimal
         return slot_of
-    # Tables up to the one holding top; each key's slots there, ascending.
-    firsts = [(1 << j) - 1 for j in range((top + 1).bit_length())]
-    cands = [
-        [f + (pkey & f) for f in firsts if f + (pkey & f) not in blocked]
-        for pkey in position_keys
-    ]
     owner = [-1] * (top + 1)
     for e, g in enumerate(slot_of):
         owner[g] = e
@@ -140,7 +178,7 @@ def _min_max_slots(position_keys: list[int], blocked: set[int]) -> list[int]:
             return slot_of
         entry = owner[top]
         owner[top] = -1
-        if not _augment(entry, top, cands, owner, slot_of):
+        if not _augment(entry, top, position_keys, blocked, owner, slot_of):
             owner[top] = entry
             return slot_of
 
@@ -152,7 +190,7 @@ class HeaderLayout:
         self.content = bytearray()
         self.occupied = bytearray()
         self.fixed = bytearray()  # positions pinned against later suites
-        self.plan = HeaderPlan()
+        self.plan = EncodeReport()
         self._filled = False
 
     @property
@@ -182,11 +220,11 @@ class HeaderLayout:
             # that every subset of it places (test_every_subset_placeable).
             primary = next(
                 pos for pos in suite.allowed_positions
-                if _is_free(self.fixed, pos, pos + klen)
+                if not any(self.fixed[pos : pos + klen])
             )
-            self.plan.pubkey_pos[suite.suite_id] = primary
+            record = {"alias": suite.alias, "primary": primary, "slots": []}
+            self.plan.suites.append(record)
             self._write(primary, primary + klen, b"\x00" * klen)
-            self.plan.labels.append((primary, primary + klen, "pubkey-primary"))
             for pos in suite.allowed_positions:
                 _mark(self.fixed, pos, pos + klen)
         return self.plan.pubkey_pos
@@ -196,14 +234,12 @@ class HeaderLayout:
     ) -> list[tuple[int, int]]:
         """Reserve one hash-table slot per position key, header kept short.
 
-        Table j holds 2^j slots and starts where table j-1 ends, so its
-        slot for a key is the global slot 2^j - 1 + position_key mod 2^j,
-        counted in entry lengths from the suite's ht_base.  A decoder
-        tries its key's slot in every table in turn, so any table will
-        do.  Among the assignments of distinct slots free in `occupied`,
-        this picks one with the lowest last slot (see _min_max_slots).
-        Returns (start, end) per key, in key order; the entries get their
-        random placeholder bytes in that order too.
+        A decoder tries its key's slot in every table in turn (see
+        table_slots), so any table will do.  Among the assignments of
+        distinct slots free in `occupied`, this picks one with the lowest
+        last slot (see _min_max_slots).  Returns (start, end) per key, in
+        key order; the entries get their random placeholder bytes in that
+        order too.
         """
         ep_len = suite.entry_len
         base = suite.ht_base
@@ -221,13 +257,11 @@ class HeaderLayout:
             )
             run_start = mask.find(b"\x01", run_end)
         chosen = _min_max_slots(position_keys, blocked)
-        slots = []
-        for g in chosen:
-            start = base + g * ep_len
-            end = start + ep_len
+        slots = [(base + g * ep_len, base + (g + 1) * ep_len) for g in chosen]
+        for start, end in slots:
             self._write(start, end, rng.randbytes(ep_len))
-            self.plan.labels.append((start, end, "entry-slot"))
-            slots.append((start, end))
+        record = next(s for s in self.plan.suites if s["alias"] == suite.alias)
+        record["slots"] = slots
         return slots
 
     def write_entry(self, slot: tuple[int, int], data: bytes) -> None:
@@ -266,7 +300,7 @@ class HeaderLayout:
                     return True
         return False
 
-    def finalize_lengths(self, payload_len: int) -> HeaderPlan:
+    def finalize_lengths(self, payload_len: int) -> EncodeReport:
         """Fix payload, padding, tag offsets and the total padded length."""
         if not self._filled:
             raise ValueError("header must be filled before finalizing")

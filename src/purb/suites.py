@@ -153,10 +153,10 @@ class KeyPair:
     sk: bytes
     pk: object
     pk_encoded: bytes
-    attempts: int = 1
+    attempts: int
     # The group's native key for sk, built once by keygen; not part of
     # the pair's identity.
-    native_key: object = field(default=None, compare=False, repr=False)
+    native_key: object = field(compare=False, repr=False)
 
 
 _K256 = Secp256k1Group()

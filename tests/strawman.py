@@ -3,11 +3,12 @@
 Entry points are packed one after another from the suite's table base,
 so a decoder must scan linearly.  Nothing in the library produces or
 reads this layout; the decode-cost tests build it here by handing the
-encoder a different HeaderLayout for one call.
+encoder a different slot choice for one call.
 """
 
 from __future__ import annotations
 
+import itertools
 from unittest import mock
 
 import purb.layout
@@ -18,36 +19,19 @@ from purb.codec import (
     encode_detailed,
     open_entry_point,
 )
-from purb.layout import HeaderLayout, xor_extract
-from purb.rng import RandomSource
-from purb.suites import SuiteSpec, decap
+from purb.layout import xor_extract
+from purb.suites import decap
 
 
-class FlatLayout(HeaderLayout):
-    """HeaderLayout whose entry points fill the first free slots in order."""
-
-    def place_entry_points(
-        self, suite: SuiteSpec, position_keys: list[int], rng: RandomSource
-    ) -> list[tuple[int, int]]:
-        slots = []
-        ep_len = suite.entry_len
-        index = 0
-        for _ in position_keys:
-            while True:
-                start = suite.ht_base + index * ep_len
-                end = start + ep_len
-                index += 1
-                if not any(self.occupied[start:end]):
-                    self._write(start, end, rng.randbytes(ep_len))
-                    self.plan.labels.append((start, end, "entry-slot"))
-                    slots.append((start, end))
-                    break
-        return slots
+def flat_slots(position_keys: list[int], blocked: set[int]) -> list[int]:
+    """The first free slots from the table base, one per key in order."""
+    free = (g for g in itertools.count() if g not in blocked)
+    return [next(free) for _ in position_keys]
 
 
 def encode_flat(*args, **kwargs) -> tuple[bytes, EncodeReport]:
     """encode_detailed with the strawman layout in place of hash tables."""
-    with mock.patch.object(purb.layout, "HeaderLayout", FlatLayout):
+    with mock.patch.object(purb.layout, "_min_max_slots", flat_slots):
         return encode_detailed(*args, **kwargs)
 
 

@@ -307,6 +307,158 @@ class TestEncodeBasics:
             )
 
 
+def _seeded_blob(registry, keypairs, case):
+    """One seeded blob of SEEDED_BLOBS: "<alias>-<payload length>" has three
+    recipients of that suite (two passphrases for pw); "all" has one of
+    each of the seven suites."""
+    if case == "all":
+        aliases, n = [s.alias for s in registry], 100
+    else:
+        alias, n = case.rsplit("-", 1)
+        aliases, n = [alias] * (2 if alias == "pw" else 3), int(n)
+    rs = []
+    for i, alias in enumerate(aliases):
+        if alias == "pw":
+            rs.append(Recipient.password(registry.by_alias(alias), b"pin %d" % i))
+        else:
+            rs.append(pk_recipient(keypairs[alias][i]))
+    payload = (bytes(range(251)) * (n // 251 + 1))[:n]
+    return encode_detailed(rs, payload, seeded_rng(b"pin-" + case.encode()))
+
+
+# SHA-256, header_len, entry_count and compactness of each seeded blob,
+# computed from the encoder before its geometry record and table walk
+# moved into layout; that refactor and any later one keep these bytes.
+SEEDED_BLOBS = {
+    "A-0": (
+        "921189b4a348bcfc7cc123a75e0421b57f166de6a21a23b81cfcca9c82e9c70a",
+        256, 3, 1.0,
+    ),
+    "A-100": (
+        "8e600dfc6bf42eb489609c920bbd8374e555168cbe9f905331114c141941db23",
+        256, 3, 1.0,
+    ),
+    "A-300000": (
+        "30dedfd3be518912f9f64ba0a8aabca93c858f20909f4864f0b699c9f306cfe9",
+        256, 3, 1.0,
+    ),
+    "A-600000": (
+        "423a941b41e47027ba9d6c4a0be2dfddfc65715903246289acf2330ece986962",
+        384, 3, 0.6666666666666666,
+    ),
+    "B-0": (
+        "18f5566feb4adf28a1df1ea3f3a9db700ba2a955e9b4974848f79024958b22cc",
+        224, 3, 1.0,
+    ),
+    "B-100": (
+        "bba23e8ef69d98b73bf75517c0ac7a416b8c4feea7b335475c6ff07cdf3458ac",
+        288, 3, 0.7777777777777778,
+    ),
+    "B-300000": (
+        "39fdd86d918d48d2ca76b42166e78e5f5d1474cb7b48e97fde6f9a81b461d894",
+        352, 3, 0.6363636363636364,
+    ),
+    "B-600000": (
+        "f820e5794b855c1c02c1f2f68e4ff1594d1105c729201eb8df8bcb6da15b521b",
+        224, 3, 1.0,
+    ),
+    "C-0": (
+        "75e644218902bf9899b2150765fbab4ef93ae8b60b7654baba7b25a516d33a04",
+        256, 3, 1.0,
+    ),
+    "C-100": (
+        "c7a31606e65963fd6c04b2ad1d5bcde6b0a46c4f04ec6852aa4326aa5b3d009d",
+        256, 3, 1.0,
+    ),
+    "C-300000": (
+        "c7c0622d558337ecea56ea7a010c9af7ec966dfa69f4bcdae8603ba329f34a96",
+        256, 3, 1.0,
+    ),
+    "C-600000": (
+        "72a9faf598a596584cac4681cf981d01c39dc7d77217595c7330e13c98b15e84",
+        256, 3, 1.0,
+    ),
+    "D-0": (
+        "07b1f31ea136acd49e9e3978991e6d9ca05dc980c20715896c29426132e5f3a4",
+        480, 3, 0.4666666666666667,
+    ),
+    "D-100": (
+        "353ab8e9cf5c8e4d01d58e64a3c26a5c914a4f1bc9565c42ee16dff037cbf3da",
+        224, 3, 1.0,
+    ),
+    "D-300000": (
+        "9cd7ccc59d69c16c9dc0dfa4c8690c1ca92c7830dcb7f22c4ed7140387b2046a",
+        352, 3, 0.6363636363636364,
+    ),
+    "D-600000": (
+        "fb3217a964c95c83c941fd46ef1f70f172d212a0163284ebac30496c99d65aed",
+        224, 3, 1.0,
+    ),
+    "E-0": (
+        "e60b05ae02269194d98e68e72f5c12062da027eda735197556aa7a77916f1706",
+        256, 3, 1.0,
+    ),
+    "E-100": (
+        "54e35cbf8fbdd3f5b8b237dba5bc942431dbca76926b971a3376244d800f8322",
+        320, 3, 0.8,
+    ),
+    "E-300000": (
+        "1efad863903b123d1eb96c2955e6a5b82fd6d5ed46762413b102ab16d4746249",
+        384, 3, 0.6666666666666666,
+    ),
+    "E-600000": (
+        "c28ae7a3b2994e61044aac004fff1085db5e2576ce63cb972ad22aa349ddcc4e",
+        384, 3, 0.6666666666666666,
+    ),
+    "F-0": (
+        "974324cc62576bdc7325bf95eedf12979bb1ca89cf452aa1f03f10b89d419f9a",
+        224, 3, 1.0,
+    ),
+    "F-100": (
+        "321a5d015953171bd0a1173b97f6b3d857d81dfc48b960506a87ec3578a45caf",
+        224, 3, 1.0,
+    ),
+    "F-300000": (
+        "7a471d499d64b511a6e39a1686769a8d6749b5ee55b7543f66cfee38cb6919fd",
+        352, 3, 0.6363636363636364,
+    ),
+    "F-600000": (
+        "990aac72b23772a670867f701dde8090671e1d6a3544265b336e0e54adb3102d",
+        224, 3, 1.0,
+    ),
+    "all": (
+        "0692f634f588a97e440967ebb27dfd3139448d5e376ed445bb5e50e95f08822a",
+        1312, 7, 0.5853658536585366,
+    ),
+    "pw-0": (
+        "ec88e0f5c93d4a2d97efb9f1ead58b7d99c6cc67b8a073b66bfbfc965ff64883",
+        160, 2, 1.0,
+    ),
+    "pw-100": (
+        "ac89c56a967f289e993ff5516bd9e97f5e29916ea0edba0fe1bf28627e6473bc",
+        224, 2, 0.7142857142857143,
+    ),
+    "pw-300000": (
+        "c13a059adde0f993049e52472b377a8c3a1e9ff66d8c5320c694f9a407447acf",
+        160, 2, 1.0,
+    ),
+    "pw-600000": (
+        "50d58178f21f526117d63cf7a747c2c51e69dce0e1c5ee8ee9a869a692beb092",
+        224, 2, 0.7142857142857143,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_BLOBS))
+def test_seeded_blob_bytes(registry, keypairs, case):
+    blob, report = _seeded_blob(registry, keypairs, case)
+    digest, header_len, entry_count, compactness = SEEDED_BLOBS[case]
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert (report.header_len, report.entry_count, report.compactness) == (
+        header_len, entry_count, compactness
+    )
+
+
 def _mixed_recipients(registry, keypairs):
     pw = registry.by_alias("pw")
     rs = [

@@ -165,7 +165,11 @@ class TestPlaceEntryPoints:
             hdr.place_entry_points(
                 s, [int.from_bytes(rng.randbytes(8), "big") for _ in range(20)], rng
             )
-        ranges = sorted((a, b) for a, b, _ in hdr.plan.labels)
+        ranges = sorted(
+            [(p, p + registry.by_id(sid).encoded_key_len)
+             for sid, p in hdr.plan.pubkey_pos.items()]
+            + [slot for entry in hdr.plan.suites for slot in entry["slots"]]
+        )
         for (a1, b1), (a2, b2) in zip(ranges, ranges[1:]):
             assert b1 <= a2
 
@@ -463,7 +467,7 @@ class TestPlanMetrics:
         hdr.fill_random(seeded_rng(25))
         plan = hdr.finalize_lengths(10)
         assert plan.header_len == suite.encoded_key_len + suite.entry_len
-        assert plan.compactness() == 1.0
+        assert plan.compactness == 1.0
 
     def test_deterministic_given_seed(self, registry):
         def build(seed):

@@ -14,14 +14,15 @@ randomness on the calling thread, in canonical suite order: one
 ephemeral key pair per public-key suite (keygen), then one salt per
 password suite.  The secret phase draws nothing.  When the blob has
 passphrase recipients, one helper thread runs their scrypt, which
-releases the GIL, while the calling thread unhides the recipient keys
-and runs the exchanges (encap).  Unhiding holds the GIL and stays on
-the calling thread.  A secp256k1 exchange releases it and is long
-enough to pay for a thread, so a suite whose group has parallel_dh and
-SPLIT_MIN_RECIPIENTS recipients or more runs the back half of its
+releases the GIL, while the calling thread unhides the recipient keys,
+one `unhide` call per suite so that the suite's keys share their
+inversions, and runs the exchanges (encap).  Unhiding holds the GIL and
+stays on the calling thread.  A secp256k1 exchange releases it and is
+long enough to pay for a thread, so a suite whose group has parallel_dh
+and SPLIT_MIN_RECIPIENTS recipients or more runs the back half of its
 exchanges on a second helper thread while the calling thread runs the
-front half; X25519 suites, and a k256 suite with one recipient, start
-no thread.  Every helper is started and joined inside the call, and the
+front half; X25519 suites, and a k256 suite with one recipient, start no
+thread.  Every helper is started and joined inside the call, and the
 secrets keep recipient order, so a seeded encode gives the same bytes
 however the threads are scheduled, and it may use a second core.
 
@@ -329,7 +330,7 @@ def encode_detailed(
             if suite.kind != PUBLIC_KEY:
                 continue
             eph = ephs[suite.suite_id]
-            points = [suite.group.unhide(m.pubkey) for m in members]
+            points = suite.group.unhide([m.pubkey for m in members])
             if suite.group.parallel_dh and len(points) >= SPLIT_MIN_RECIPIENTS:
                 # Both threads only exchange here, so neither holds the
                 # GIL for long while the other waits for it.

@@ -6,8 +6,9 @@ done natively (see suites.py).  Field elements are ints modulo p, worked
 with the shared `fieldmath` kernel plus the one inverse square root that
 p = 5 mod 8 calls for; "negative" means above (p - 1) / 2.  hide runs on
 each ephemeral key drawn (about two per blob per suite, as key
-generation retries), unhide once per recipient on encode and once per
-identity per blob on decode.
+generation retries).  unhide decodes a list: encode passes it every
+recipient key of a suite at once, so the list shares one inversion, and
+decode passes one key per identity per blob.
 
 About half of all curve points have no representative; key generation
 simply retries until it draws one.  A representative is 254 bits wide:
@@ -18,7 +19,9 @@ string maps to some curve point.
 
 from __future__ import annotations
 
-from .fieldmath import invert, is_square
+from typing import Sequence
+
+from .fieldmath import invert_all, is_square
 from .rng import RandomSource
 
 P = 2**255 - 19
@@ -85,17 +88,24 @@ def hide(point: bytes, rng: RandomSource) -> bytes | None:
     return (r | ((noise >> 1) & 3) << 254).to_bytes(32, "little")
 
 
-def unhide(rep: bytes) -> bytes:
-    """Decode 32 bytes to a u-coordinate; total, never fails.
+def unhide(reps: Sequence[bytes]) -> list[bytes]:
+    """Decode 32-byte strings to u-coordinates, in order; total, never
+    fails.
 
     X25519 uses u alone, so only the u half of the Elligator2 map runs:
     w = -A / (1 + 2r^2), and u = w if w is the u of a curve point, else
     u = -A - w.  The denominator never vanishes: -1/2 is not a square.
+    The list's denominators share one inversion.
     """
-    if len(rep) != ENCODED_LEN:
-        raise ValueError("representative must be 32 bytes")
-    r = int.from_bytes(rep, "little") & _HIGH_MASK
-    u = -A * invert(1 + NON_SQUARE * r * r, P) % P
-    if not is_square(u * (u * u + A * u + 1), P):
-        u = (-A - u) % P
-    return u.to_bytes(32, "little")
+    rs = []
+    for rep in reps:
+        if len(rep) != ENCODED_LEN:
+            raise ValueError("representative must be 32 bytes")
+        rs.append(int.from_bytes(rep, "little") & _HIGH_MASK)
+    points = []
+    for inv in invert_all([1 + NON_SQUARE * r * r for r in rs], P):
+        u = -A * inv % P
+        if not is_square(u * (u * u + A * u + 1), P):
+            u = (-A - u) % P
+        points.append(u.to_bytes(32, "little"))
+    return points

@@ -3,19 +3,44 @@
 One function per operation, shared by both curves.  Inversion is the
 built-in extended Euclid (`pow(a, -1, p)`) and the quadratic-residue
 test is a binary Jacobi symbol; both cost a fraction of the 256-bit
-exponentiation that Fermat and Euler would need.  `sqrt` serves primes
-p = 3 mod 4: secp256k1's `reverse_map` and map constant, while the
-forward map lifts x to a point by SEC1 decompression in OpenSSL.
-Curve25519's p = 5 mod 8 only needs the inverse square root that its
-codec computes itself.  Only public values reach these kernels: points
-and representatives, never a secret scalar.
+exponentiation that Fermat and Euler would need.  An inversion still
+costs some fifty multiplications, so the codecs decode a whole list of
+keys through `invert_all`, which inverts the list with one of them.
+`sqrt` serves primes p = 3 mod 4: secp256k1's `reverse_map` and map
+constant, while the forward map lifts x to a point by SEC1
+decompression in OpenSSL.  Curve25519's p = 5 mod 8 only needs the
+inverse square root that its codec computes itself.  Only public values
+reach these kernels: points and representatives, never a secret scalar.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 
 def invert(a: int, p: int) -> int:
     return pow(a, -1, p)
+
+
+def invert_all(values: Sequence[int], p: int) -> list[int]:
+    """Every value's inverse mod p, with one inversion and 3(n - 1)
+    multiplications (Montgomery's simultaneous inversion).  ValueError
+    when any value is 0 mod p, as for a single inversion."""
+    if not values:
+        return []
+    prefix = []
+    acc = 1
+    for a in values:
+        acc = acc * a % p
+        prefix.append(acc)
+    # Walk back: inv is the inverse of the product of values[:i + 1].
+    inv = pow(acc, -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % p
+        inv = inv * values[i] % p
+    out[0] = inv
+    return out
 
 
 def legendre(a: int, p: int) -> int:

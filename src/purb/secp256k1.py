@@ -10,21 +10,25 @@ Field elements and affine points are plain ints and int pairs.  The
 forward map's curve lift, from a candidate x to the y of the parity it
 needs, is SEC1 point decompression in OpenSSL; `fieldmath` serves
 `reverse_map`, whose roots are of values that are not of the form
-x^3 + 7.  Each hide attempt and each unhide does exactly one point
-addition, so there is no projective point library: `_add` is affine,
-with a single inversion.
+x^3 + 7.  Each hide attempt and each decoded key needs exactly one
+point addition, so there is no projective point library: `_add_all` is
+affine.
 
 As with the Curve25519 codec, hide runs once per blob per suite (on the
-ephemeral key) and unhide once per recipient on encode and once per
-identity per blob on decode; scalar multiplication is left to the
-native backend (see suites.py).
+ephemeral key), and unhide decodes a list: every recipient key of a
+suite at once on encode, one key per identity per blob on decode.  A
+list takes two inversions in all, one for the forward maps of all its
+halves and one for all its additions.  Scalar multiplication is left to
+the native backend (see suites.py).
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from .fieldmath import invert, is_square, sqrt
+from .fieldmath import invert, invert_all, is_square, sqrt
 from .rng import RandomSource
 
 P = 2**256 - 2**32 - 977
@@ -42,18 +46,23 @@ C2 = (C1 - 1) * invert(2, P) % P
 _CURVE = ec.SECP256K1()
 
 
-def _add(p1: Point, p2: Point) -> Point | None:
-    """p1 + p2 with one inversion; None for p1 + (-p1), the point at
-    infinity.  Equal points double."""
-    (x1, y1), (x2, y2) = p1, p2
-    if x1 == x2:
-        if (y1 + y2) % P == 0:
-            return None
-        lam = 3 * x1 * x1 * invert(2 * y1, P) % P
-    else:
-        lam = (y2 - y1) * invert(x2 - x1, P) % P
-    x3 = (lam * lam - x1 - x2) % P
-    return x3, (lam * (x1 - x3) - y1) % P
+def _add_all(pairs: list[tuple[Point, Point]]) -> list[Point | None]:
+    """p1 + p2 for each pair, with one inversion for the list; None for
+    p1 + (-p1), the point at infinity.  Equal points double."""
+    # x1 = x2 takes the tangent's 2 y1, never 0 (the order is odd).
+    dens = [x2 - x1 or 2 * y1 for (x1, y1), (x2, _) in pairs]
+    sums: list[Point | None] = []
+    for ((x1, y1), (x2, y2)), inv in zip(pairs, invert_all(dens, P)):
+        if x1 != x2:
+            lam = (y2 - y1) * inv % P
+        elif (y1 + y2) % P:
+            lam = 3 * x1 * x1 * inv % P
+        else:
+            sums.append(None)
+            continue
+        x3 = (lam * lam - x1 - x2) % P
+        sums.append((x3, (lam * (x1 - x3) - y1) % P))
+    return sums
 
 
 def _lift(x: int, prefix: bytes) -> int | None:
@@ -68,8 +77,8 @@ def _lift(x: int, prefix: bytes) -> int | None:
     return key.public_numbers().y
 
 
-def forward_map(u: int) -> Point:
-    """Field element in [0, P) to curve point; total.
+def forward_map_all(us: list[int]) -> list[Point]:
+    """Field elements in [0, P) to curve points, in order; total.
 
     The three candidate x-values satisfy an identity forcing at least one
     of them onto the curve.  The denominator 1 + B + s never vanishes,
@@ -77,18 +86,31 @@ def forward_map(u: int) -> Point:
     u = 0, but there the first candidate is on the curve.  y takes the
     parity of u.
     """
-    s = u * u % P
-    den = (1 + B + s) % P
-    prefix = bytes([2 | (u & 1)])
-    x = (C2 - C1 * s * invert(den, P)) % P
-    y = _lift(x, prefix)
-    if y is None:
-        x = (-x - 1) % P
+    squares = [u * u % P for u in us]
+    dens = [1 + B + s for s in squares]
+    # One inversion for the list: inv = 1 / (3 s den), so 1 / den is
+    # 3 s inv and the third candidate's 1 / (3s) is den inv.  At s = 0
+    # the list holds den alone; the first candidate is then C2, whatever
+    # inv is, and the third is never reached.
+    invs = invert_all([3 * s * den or den for s, den in zip(squares, dens)], P)
+    points = []
+    for u, s, den, inv in zip(us, squares, dens, invs):
+        prefix = bytes([2 | (u & 1)])
+        x = (C2 - 3 * C1 * s * s % P * inv) % P
         y = _lift(x, prefix)
         if y is None:
-            x = (1 - den * den * invert(3 * s, P)) % P
+            x = (-x - 1) % P
             y = _lift(x, prefix)
-    return x, y
+            if y is None:
+                x = (1 - den * den % P * den * inv) % P
+                y = _lift(x, prefix)
+        points.append((x, y))
+    return points
+
+
+def forward_map(u: int) -> Point:
+    """forward_map_all on one element."""
+    return forward_map_all([u])[0]
 
 
 def reverse_map(x: int, y: int, i: int) -> int | None:
@@ -149,7 +171,7 @@ def hide(point: Point, rng: RandomSource) -> bytes:
         branch = rng.randbytes(1)[0] & 3
         fx, fy = forward_map(u)
         t = (fx, -fy % P)
-        q = _add(t, point)
+        q = _add_all([(t, point)])[0]
         if q is None:
             q = t  # f(u) = P exactly; decode's infinity rule mirrors this
         v = reverse_map(*q, branch)
@@ -157,13 +179,19 @@ def hide(point: Point, rng: RandomSource) -> bytes:
             return u.to_bytes(32, "big") + v.to_bytes(32, "big")
 
 
-def unhide(rep: bytes) -> Point:
-    """Decode 64 bytes to a curve point; total, never fails."""
-    if len(rep) != ENCODED_LEN:
-        raise ValueError("representative must be 64 bytes")
-    t = forward_map(int.from_bytes(rep[:32], "big") % P)
-    s = forward_map(int.from_bytes(rep[32:], "big") % P)
-    q = _add(t, s)
-    if q is None:
-        q = t
-    return q
+def unhide(reps: Sequence[bytes]) -> list[Point]:
+    """Decode 64-byte strings to curve points, in order; total, never
+    fails.
+
+    A string u || v decodes to f(u) + f(v), or to f(u) when that sum is
+    the point at infinity.
+    """
+    us = []
+    for rep in reps:
+        if len(rep) != ENCODED_LEN:
+            raise ValueError("representative must be 64 bytes")
+        us.append(int.from_bytes(rep[:32], "big") % P)
+        us.append(int.from_bytes(rep[32:], "big") % P)
+    halves = forward_map_all(us)
+    pairs = list(zip(halves[::2], halves[1::2]))
+    return [q or t for (t, _), q in zip(pairs, _add_all(pairs))]

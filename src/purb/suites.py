@@ -81,8 +81,8 @@ class Curve25519Group:
     def hide(self, element: bytes, rng: RandomSource) -> bytes | None:
         return curve25519.hide(element, rng)
 
-    def unhide(self, rep: bytes) -> bytes:
-        return curve25519.unhide(rep)
+    def unhide(self, reps: Sequence[bytes]) -> list[bytes]:
+        return curve25519.unhide(reps)
 
 
 class Secp256k1Group:
@@ -93,8 +93,9 @@ class Secp256k1Group:
     # OpenSSL's exchange takes about 210 us and releases the GIL, so
     # encode splits a suite's exchanges across two threads: 2x200
     # exchanges took 84 ms on one thread and 44 ms on two (2 vCPU).
-    # unhide holds the GIL (42 ms for 400 on one thread, 43 on two) and
-    # stays on the calling thread.
+    # unhide holds the GIL and stays on the calling thread, one batch
+    # per suite: 400 keys took 57-62 ms as one batch on one thread and
+    # 84-92 ms as two batches of 200 on two.
     parallel_dh = True
 
     def private_key(self, sk: bytes) -> ec.EllipticCurvePrivateKey:
@@ -120,8 +121,8 @@ class Secp256k1Group:
     def hide(self, element: tuple[int, int], rng: RandomSource) -> bytes | None:
         return secp256k1.hide(element, rng)
 
-    def unhide(self, rep: bytes) -> tuple[int, int]:
-        return secp256k1.unhide(rep)
+    def unhide(self, reps: Sequence[bytes]) -> list[tuple[int, int]]:
+        return secp256k1.unhide(reps)
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def decap(suite: SuiteSpec, sk: object, tau: bytes) -> bytes:
     """
     if len(tau) != suite.encoded_key_len:
         raise ValueError("encoded key has wrong length")
-    element = suite.group.unhide(tau)
+    element = suite.group.unhide([tau])[0]
     return kem_hash(suite.group.dh(sk, element))
 
 

@@ -30,6 +30,7 @@ from purb.codec import (
     seal_entry_point,
 )
 from purb import codec as codec_mod
+from purb import curve25519, secp256k1
 from purb import suites as suites_mod
 from purb.padding import padme_len
 from purb.rng import seeded_rng
@@ -495,6 +496,28 @@ def _roundtrip_or_exit(recipients, identity, payload):
     blob, _ = encode_detailed(recipients, payload, seeded_rng(12))
     if decode(blob, identity)[0] != payload:
         raise SystemExit(1)
+
+
+class TestBatchedUnhide:
+    def test_encode_unhides_once_per_public_key_suite(self, registry, keypairs, monkeypatch):
+        # A fanout-shaped blob: several keys in each of A, B and D, and one
+        # passphrase.  Each suite's keys go to its codec as one list.
+        batches = {"x25519": [], "k256": []}
+        for name, module in (("x25519", curve25519), ("k256", secp256k1)):
+            real = module.unhide
+
+            def recording(reps, real=real, name=name):
+                batches[name].append(len(reps))
+                return real(reps)
+
+            monkeypatch.setattr(module, "unhide", recording)
+        keys = keypairs["A"][:5] + keypairs["B"][:6] + keypairs["D"][:3]
+        pw = registry.by_alias("pw")
+        rs = [pk_recipient(kp) for kp in keys] + [Recipient.password(pw, b"hunter2")]
+        blob, _ = encode_detailed(rs, b"fanout", seeded_rng(19))
+        assert batches == {"k256": [5], "x25519": [6, 3]}
+        assert decode(blob, pk_identity(keypairs["A"][4]))[0] == b"fanout"
+        assert batches["k256"] == [5, 1]
 
 
 class TestEncodeThreads:

@@ -17,6 +17,7 @@ from helpers import (
     x25519_oracle,
 )
 from purb import curve25519 as c25519
+from purb import fieldmath
 from purb import secp256k1 as k256
 from purb.rng import seeded_rng
 
@@ -90,7 +91,7 @@ class TestSecp256k1Codec:
 
     @pytest.mark.parametrize("rep_hex,x,parity", K256_DECODE_VECTORS)
     def test_decode_vectors(self, rep_hex, x, parity):
-        px, py = k256.unhide(bytes.fromhex(rep_hex))
+        px, py = k256.unhide([bytes.fromhex(rep_hex)])[0]
         assert px == x
         assert py & 1 == parity
 
@@ -146,7 +147,7 @@ class TestSecp256k1Codec:
             pt = scalar_mult(int.from_bytes(rng.randbytes(32), "big") % k256.N or 1)
             rep = k256.hide(pt, rng)
             assert len(rep) == 64
-            assert k256.unhide(rep) == pt
+            assert k256.unhide([rep])[0] == pt
 
     def test_unhide_opposite_pair_returns_first_point(self):
         # f(P - u) = -f(u), so u || (P - u) sums to the point at infinity,
@@ -157,7 +158,7 @@ class TestSecp256k1Codec:
             t = k256.forward_map(u)
             assert _k256_add(t, k256.forward_map(k256.P - u)) is None
             rep = u.to_bytes(32, "big") + (k256.P - u).to_bytes(32, "big")
-            assert k256.unhide(rep) == t
+            assert k256.unhide([rep])[0] == t
             assert is_on_curve(t)
 
     def test_unhide_equal_pair_doubles(self):
@@ -165,7 +166,7 @@ class TestSecp256k1Codec:
         for _ in range(10):
             u = int.from_bytes(rng.randbytes(32), "big") % k256.P
             t = k256.forward_map(u)
-            got = k256.unhide(u.to_bytes(32, "big") * 2)
+            got = k256.unhide([u.to_bytes(32, "big") * 2])[0]
             assert got == _k256_add(t, t)
             assert is_on_curve(got)
 
@@ -179,7 +180,7 @@ class TestSecp256k1Codec:
             assert u < k256.P
             target = k256.forward_map(u)
             rep = k256.hide(target, seeded_rng(seed))
-            assert k256.unhide(rep) == target
+            assert k256.unhide([rep])[0] == target
             if rep[:32] == head:
                 v = int.from_bytes(rep[32:], "big")
                 assert _k256_add(target, k256.forward_map(v)) is None
@@ -188,11 +189,11 @@ class TestSecp256k1Codec:
 
     def test_unhide_total(self):
         for data in (b"\x00" * 64, b"\xff" * 64, os.urandom(64)):
-            assert is_on_curve(k256.unhide(data))
+            assert is_on_curve(k256.unhide([data])[0])
 
     def test_unhide_length_checked(self):
         with pytest.raises(ValueError):
-            k256.unhide(b"\x00" * 63)
+            k256.unhide([b"\x00" * 63])
 
 
 class TestCurve25519Codec:
@@ -206,7 +207,7 @@ class TestCurve25519Codec:
             rep = rng.randbytes(32)
             r = int.from_bytes(rep, "little") & ((1 << 254) - 1)
             u = map_to_curve_reference(r)[0]
-            assert c25519.unhide(rep) == u.to_bytes(32, "little")
+            assert c25519.unhide([rep])[0] == u.to_bytes(32, "little")
             w = -c25519.A * pow(1 + 2 * r * r, -1, c25519.P) % c25519.P
             branches[u == w] += 1
         assert branches[True] and branches[False], branches
@@ -217,7 +218,7 @@ class TestCurve25519Codec:
     @example(b"\xff" * 32)
     def test_unhide_agrees_with_reference_on_any_input(self, rep):
         r = int.from_bytes(rep, "little") & ((1 << 254) - 1)
-        assert c25519.unhide(rep) == map_to_curve_reference(r)[0].to_bytes(32, "little")
+        assert c25519.unhide([rep])[0] == map_to_curve_reference(r)[0].to_bytes(32, "little")
 
     def test_unhide_top_bit_patterns_agree_with_reference(self):
         rng = seeded_rng(24)
@@ -226,7 +227,7 @@ class TestCurve25519Codec:
             want = map_to_curve_reference(r)[0].to_bytes(32, "little")
             for top in range(4):
                 rep = (r | top << 254).to_bytes(32, "little")
-                assert c25519.unhide(rep) == want, top
+                assert c25519.unhide([rep])[0] == want, top
 
     def test_inverse_map_agrees_with_reference(self):
         rng = seeded_rng(15)
@@ -252,26 +253,33 @@ class TestCurve25519Codec:
             if rep is None:
                 continue
             assert len(rep) == 32
-            assert c25519.unhide(rep) == pk
+            assert c25519.unhide([rep])[0] == pk
             done += 1
 
     def test_unhide_ignores_top_bits(self):
         rng = seeded_rng(17)
         rep = bytearray(rng.randbytes(32))
-        base = c25519.unhide(bytes(rep))
+        base = c25519.unhide([bytes(rep)])[0]
         for bit in (254, 255):
             flipped = bytearray(rep)
             flipped[bit // 8] ^= 1 << (bit % 8)
-            assert c25519.unhide(bytes(flipped)) == base
+            assert c25519.unhide([bytes(flipped)])[0] == base
 
     def test_unhide_total(self):
         for data in (b"\x00" * 32, b"\xff" * 32, os.urandom(32)):
-            out = c25519.unhide(data)
+            out = c25519.unhide([data])[0]
             assert len(out) == 32
 
     def test_unhide_length_checked(self):
         with pytest.raises(ValueError):
-            c25519.unhide(b"\x00" * 31)
+            c25519.unhide([b"\x00" * 31])
+
+    def test_x25519_denominator_never_vanishes(self):
+        # 1 + 2r^2 = 0 would need r^2 = -1/2, a non-square mod 2^255 - 19.
+        # Like the k256 map's -8 above, this lets unhide invert a whole
+        # list of denominators at once with no zero to guard against.
+        p = c25519.P
+        assert legendre_pure(-pow(2, -1, p) % p, p) == -1
 
     def test_about_half_of_keys_encodable(self):
         from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -288,6 +296,100 @@ class TestCurve25519Codec:
             )
             hits += c25519.hide(pk, noise) is not None
         assert 0.4 < hits / n < 0.6
+
+
+def _k256_rep(u, v):
+    return u.to_bytes(32, "big") + v.to_bytes(32, "big")
+
+
+_k256_u = st.integers(min_value=0, max_value=k256.P - 1)
+K256_REPS = st.one_of(
+    st.binary(min_size=64, max_size=64),
+    st.sampled_from([b"\x00" * 64, b"\xff" * 64]),
+    _k256_u.map(lambda u: _k256_rep(u, u)),  # f(u) + f(u) doubles
+    _k256_u.map(lambda u: _k256_rep(u, -u % k256.P)),  # infinity rule
+    _k256_u.map(lambda u: _k256_rep(0, u)),
+    _k256_u.map(lambda u: _k256_rep(u, 0)),
+)
+
+_x25519_r = st.integers(min_value=0, max_value=(1 << 254) - 1)
+X25519_REPS = st.one_of(
+    st.binary(min_size=32, max_size=32),
+    st.sampled_from([b"\x00" * 32, b"\xff" * 32]),
+    # The two noise bits above r, in every pattern.
+    st.tuples(_x25519_r, st.integers(0, 3)).map(
+        lambda rt: (rt[0] | rt[1] << 254).to_bytes(32, "little")
+    ),
+)
+
+
+def k256_unhide_oracle(rep):
+    t = k256_forward_map_reference(int.from_bytes(rep[:32], "big") % k256.P)
+    s = k256_forward_map_reference(int.from_bytes(rep[32:], "big") % k256.P)
+    return _k256_add(t, s) or t
+
+
+def x25519_unhide_oracle(rep):
+    r = int.from_bytes(rep, "little") & ((1 << 254) - 1)
+    return map_to_curve_reference(r)[0].to_bytes(32, "little")
+
+
+def count_inversions(monkeypatch):
+    """Count pow(a, -1, p) in the field kernel and in both codecs."""
+    count = [0]
+
+    def counting_pow(base, exp, mod=None):
+        count[0] += exp == -1
+        return pow(base, exp, mod)
+
+    for module in (fieldmath, c25519, k256):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    return count
+
+
+class TestBatchedUnhide:
+    """unhide decodes a list at once, sharing its inversions; each
+    element decodes as it would alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(K256_REPS, max_size=10), st.lists(K256_REPS, max_size=5))
+    def test_k256_batch_agrees_with_oracle(self, a, b):
+        got = k256.unhide(a + b)
+        assert got == [k256_unhide_oracle(rep) for rep in a + b]
+        assert got == k256.unhide(a) + k256.unhide(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(X25519_REPS, max_size=16), st.lists(X25519_REPS, max_size=8))
+    def test_x25519_batch_agrees_with_oracle(self, a, b):
+        got = c25519.unhide(a + b)
+        assert got == [x25519_unhide_oracle(rep) for rep in a + b]
+        assert got == c25519.unhide(a) + c25519.unhide(b)
+
+    def test_one_bad_length_fails_the_batch(self):
+        with pytest.raises(ValueError):
+            k256.unhide([b"\x00" * 64, b"\x00" * 63])
+        with pytest.raises(ValueError):
+            c25519.unhide([b"\x00" * 32, b"\x00" * 33])
+
+    @pytest.mark.parametrize("n", [1, 8, 60])
+    def test_x25519_one_inversion_per_batch(self, monkeypatch, n):
+        rng = seeded_rng(b"inv-x25519")
+        reps = [rng.randbytes(32) for _ in range(n)]
+        count = count_inversions(monkeypatch)
+        c25519.unhide(reps)
+        assert count[0] == 1
+
+    @pytest.mark.parametrize("n", [1, 8, 60])
+    def test_k256_two_inversions_per_batch(self, monkeypatch, n):
+        # One for every half's forward map, third candidates included,
+        # and one for every pair's addition, doublings included.
+        rng = seeded_rng(b"inv-k256")
+        reps = [rng.randbytes(64) for _ in range(n)]
+        u = int.from_bytes(rng.randbytes(32), "big") % k256.P
+        reps += [_k256_rep(u, u), _k256_rep(u, k256.P - u)]
+        count = count_inversions(monkeypatch)
+        k256.unhide(reps)
+        assert count[0] == 2
 
 
 class TestNativeDhAgainstLadder:

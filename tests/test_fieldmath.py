@@ -78,3 +78,29 @@ class TestJacobiEdgeCases:
 @given(a=st.integers(min_value=-(2**520), max_value=2**520), p=st.sampled_from([P1, P2]))
 def test_legendre_matches_euler(a, p):
     assert fieldmath.legendre(a, p) == legendre_pure(a, p)
+
+
+class TestInvertAll:
+    def test_matches_pure_elementwise(self):
+        rng = seeded_rng(53)
+        for p in (P1, P2):
+            for n in (1, 2, 3, 17):
+                values = [
+                    int.from_bytes(rng.randbytes(32), "big") % p or 1 for _ in range(n)
+                ]
+                # Unreduced and negative inputs invert as their residues.
+                values += [p + 2, -5, 2**300 + 1]
+                want = [invert_pure(a, p) for a in values]
+                assert fieldmath.invert_all(values, p) == want
+
+    def test_empty(self):
+        assert fieldmath.invert_all([], P1) == []
+
+    @pytest.mark.parametrize("p", [P1, P2])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_zero_anywhere_raises(self, p, where):
+        for zero in (0, p, -3 * p):
+            values = [5, 7, 11]
+            values[where] = zero
+            with pytest.raises(ValueError):
+                fieldmath.invert_all(values, p)

@@ -2,7 +2,7 @@
 
 Pads every size in a dataset under a padding scheme, groups objects that
 become indistinguishable by length, and reports how many stay unique,
-the anonymity-set distribution, and the padding overhead paid for it.
+each object's anonymity-set size, and the padding overhead paid for it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class AnonymityReport:
     set_sizes: list[int]  # per object, aligned with the dataset
     unique_count: int
     mean_overhead: Fraction
-    histogram: dict[int, int]  # anonymity-set size -> number of objects
 
     @property
     def total(self) -> int:
@@ -103,7 +102,6 @@ def profile(ds: SizeDataset, spec: PadSpec) -> AnonymityReport:
         set_sizes=set_sizes,
         unique_count=unique_count,
         mean_overhead=total_overhead / len(ds.sizes),
-        histogram=dict(Counter(set_sizes)),
     )
 
 

@@ -141,27 +141,22 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    registry = default_registry()
     try:
         if args.passphrase is not None:
             kinds = PASSWORD
             secret = args.passphrase.encode()
         else:
             if args.key is None:
-                print(
-                    "error: need --key with --suite, or --passphrase",
-                    file=sys.stderr,
-                )
+                print("error: need --key or --passphrase", file=sys.stderr)
                 return 2
             kinds = PUBLIC_KEY
             secret = read_secret_key(args.key)
-        if args.try_all or kinds == PASSWORD:
-            candidates = [s for s in registry if s.kind == kinds]
+        # A blob does not say which suite it uses: with no --suite, try
+        # every suite of the credential's kind.
+        if args.suite is None or kinds == PASSWORD:
+            candidates = [s for s in SUITES if s.kind == kinds]
         else:
-            if args.suite is None:
-                print("error: need --suite (or --try-all)", file=sys.stderr)
-                return 2
-            candidates = [registry.by_alias(args.suite)]
+            candidates = [default_registry().by_alias(args.suite)]
         with open(args.infile, "rb") as f:
             blob = f.read()
     except OSError as e:
@@ -274,16 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decrypt a blob")
     p.add_argument("--key", help="private key file")
-    p.add_argument("--suite", choices=pk_aliases)
+    p.add_argument(
+        "--suite", choices=pk_aliases,
+        help="the key's suite; without it, every suite that can use the key",
+    )
     p.add_argument("--passphrase", help="decode with a passphrase instead of a key")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", action="store_true", help="print operation counts")
-    p.add_argument(
-        "--try-all",
-        action="store_true",
-        help="try every suite from the canonical list",
-    )
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("pad", help="compute a padded length")

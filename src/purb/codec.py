@@ -9,22 +9,22 @@ the payload is ChaCha20, the MAC HMAC-SHA256 and the payload-key hash
 SHA-256.  Each entry point's meta names them with the ids 01 01 01, and
 a meta with any other ids fails decode.
 
-Encoding takes the KEM in two phases.  The draw phase takes all of its
-randomness on the calling thread, in canonical suite order: one
-ephemeral key pair per public-key suite (keygen), then one salt per
-password suite.  The secret phase draws nothing.  When the blob has
-passphrase recipients, one helper thread runs their scrypt, which
-releases the GIL, while the calling thread unhides the recipient keys,
-one `unhide` call per suite so that the suite's keys share their
-inversions, and runs the exchanges (encap).  Unhiding holds the GIL and
-stays on the calling thread.  A secp256k1 exchange releases it and is
-long enough to pay for a thread, so a suite whose group has parallel_dh
-and SPLIT_MIN_RECIPIENTS recipients or more runs the back half of its
-exchanges on a second helper thread while the calling thread runs the
-front half; X25519 suites, and a k256 suite with one recipient, start no
-thread.  Every helper is started and joined inside the call, and the
-secrets keep recipient order, so a seeded encode gives the same bytes
-however the threads are scheduled, and it may use a second core.
+Encoding keeps one list per suite, in canonical suite order, from the
+draw to the XOR step.  The draw phase takes all of the KEM's randomness
+on the calling thread: one ephemeral key pair per public-key suite
+(keygen), then one salt per password suite.  The secret phase draws
+nothing: one call per suite gives its secrets in recipient order.  A
+public-key suite unhides its keys in one `unhide` call, so that they
+share their inversions, then runs its exchanges (encap).  When the blob
+has passphrase recipients, one helper thread runs their scrypt, which
+releases the GIL, while the calling thread runs the public-key suites.
+A secp256k1 exchange releases it too and is long enough to pay for a
+thread, so a suite whose group has parallel_dh and SPLIT_MIN_RECIPIENTS
+recipients or more runs the back half of its exchanges on a second
+helper thread; X25519 suites, and a k256 suite with one recipient,
+start no thread.  Every helper is started and joined inside the call,
+so a seeded encode gives the same bytes however the threads are
+scheduled, and it may use a second core.
 
 Each output is one BytesIO, sized once and written in place through a
 view: the blob on encode, the plaintext on decode.  Its getvalue() is
@@ -61,9 +61,9 @@ from .suites import (
     PASSWORD,
     PUBLIC_KEY,
     SESSION_KEY_LEN,
+    SUITES,
     TAG_LEN,
     SuiteSpec,
-    default_registry,
 )
 
 MAX_OFFSET = 1 << 48  # payload offsets are 48-bit fields
@@ -237,18 +237,17 @@ def open_entry_point(suite: SuiteSpec, z: bytes, data: bytes) -> bytes | None:
 def _group_recipients(
     recipients: list[Recipient],
 ) -> list[tuple[SuiteSpec, list[Recipient]]]:
-    """Recipients grouped by suite, the groups in canonical order."""
-    registry = default_registry()
-    groups: dict[int, list[Recipient]] = {}
+    """Recipients grouped by suite, the groups in canonical order.
+
+    A recipient's suite must be the SUITES row itself, not an equal copy.
+    """
+    members: list[list[Recipient]] = [[] for _ in SUITES]
     for r in recipients:
-        try:
-            registered = registry.by_id(r.suite.suite_id)
-        except KeyError:
-            registered = None
-        if registered is not r.suite:
+        sid = r.suite.suite_id
+        if sid not in range(len(SUITES)) or SUITES[sid] is not r.suite:
             raise ValueError(f"suite {r.suite.alias} not in registry")
-        groups.setdefault(r.suite.suite_id, []).append(r)
-    return [(registry.by_id(sid), groups[sid]) for sid in sorted(groups)]
+        members[sid].append(r)
+    return [(suite, group) for suite, group in zip(SUITES, members) if group]
 
 
 def _beside(background, foreground):
@@ -290,6 +289,24 @@ def _beside(background, foreground):
     return back, front
 
 
+def _suite_secrets(suite: SuiteSpec, members: list[Recipient], draw) -> list[bytes]:
+    """One shared secret per member, in member order, under the suite's
+    draw: its ephemeral KeyPair, or its salt.  Draws nothing."""
+    if suite.kind == PASSWORD:
+        return [suites_mod.password_secret(suite, draw, m.passphrase) for m in members]
+    points = suite.group.unhide([m.pubkey for m in members])
+    if suite.group.parallel_dh and len(points) >= SPLIT_MIN_RECIPIENTS:
+        # Both threads only exchange here, so neither holds the GIL for
+        # long while the other waits for it.
+        h = (len(points) + 1) // 2
+        back, front = _beside(
+            partial(suites_mod.encap, suite, draw, points[h:]),
+            partial(suites_mod.encap, suite, draw, points[:h]),
+        )
+        return front + back
+    return suites_mod.encap(suite, draw, points)
+
+
 def encode_detailed(
     recipients: list[Recipient],
     payload: bytes,
@@ -311,66 +328,38 @@ def encode_detailed(
 
     # Draw phase, on this thread and in suite order: all of the KEM's
     # randomness, one ephemeral key pair per public-key suite and one
-    # fresh salt per password suite.
-    taus: list[tuple[SuiteSpec, bytes]] = []
-    ephs: dict[int, suites_mod.KeyPair] = {}
-    salts: dict[int, bytes] = {}
-    for suite, _ in groups:
-        if suite.kind == PUBLIC_KEY:
-            eph = ephs[suite.suite_id] = suites_mod.keygen(suite, rng)
-            taus.append((suite, eph.pk_encoded))
-        else:
-            salt = salts[suite.suite_id] = rng.randbytes(suite.encoded_key_len)
-            taus.append((suite, salt))
+    # fresh salt per password suite.  Each list below has one item per
+    # suite, in the order of groups and of report.suites.
+    draws = [
+        suites_mod.keygen(suite, rng) if suite.kind == PUBLIC_KEY
+        else rng.randbytes(suite.encoded_key_len)
+        for suite, _ in groups
+    ]
 
     # Secret phase: one shared secret per recipient, no randomness.
-    def public_key_secrets() -> dict[int, list[bytes]]:
-        result = {}
-        for suite, members in groups:
-            if suite.kind != PUBLIC_KEY:
-                continue
-            eph = ephs[suite.suite_id]
-            points = suite.group.unhide([m.pubkey for m in members])
-            if suite.group.parallel_dh and len(points) >= SPLIT_MIN_RECIPIENTS:
-                # Both threads only exchange here, so neither holds the
-                # GIL for long while the other waits for it.
-                h = (len(points) + 1) // 2
-                back, front = _beside(
-                    partial(suites_mod.encap, suite, eph, points[h:]),
-                    partial(suites_mod.encap, suite, eph, points[:h]),
-                )
-                result[suite.suite_id] = front + back
-            else:
-                result[suite.suite_id] = suites_mod.encap(suite, eph, points)
-        return result
+    shared: list = [None] * len(groups)
 
-    def password_secrets() -> dict[int, list[bytes]]:
-        return {
-            suite.suite_id: [
-                suites_mod.password_secret(suite, salts[suite.suite_id], m.passphrase)
-                for m in members
-            ]
-            for suite, members in groups
-            if suite.kind == PASSWORD
-        }
+    def fill_secrets(kind: str) -> None:
+        for i, (suite, members) in enumerate(groups):
+            if suite.kind == kind:
+                shared[i] = _suite_secrets(suite, members, draws[i])
 
-    if salts:
+    if any(suite.kind == PASSWORD for suite, _ in groups):
         # scrypt releases the GIL and the point work holds it, so the
         # passphrase secrets overlap with the unhides and exchanges.
-        shared, pk_shared = _beside(password_secrets, public_key_secrets)
-        shared.update(pk_shared)
+        _beside(partial(fill_secrets, PASSWORD), partial(fill_secrets, PUBLIC_KEY))
     else:
-        shared = public_key_secrets()
+        fill_secrets(PUBLIC_KEY)
     entry_keys = [
-        (suite, [derive_entry_keys(k, suite) for k in shared[suite.suite_id]])
-        for suite, _ in groups
+        [derive_entry_keys(k, suite) for k in ks]
+        for (suite, _), ks in zip(groups, shared)
     ]
 
     session_key = rng.randbytes(SESSION_KEY_LEN)
 
     hdr = layout_mod.HeaderLayout()
     hdr.reserve_pubkeys([suite for suite, _ in groups])
-    for suite, zps in entry_keys:
+    for (suite, _), zps in zip(groups, entry_keys):
         hdr.place_entry_points(suite, [p for _, p in zps], rng)
     hdr.fill_random(rng)
     report = hdr.finalize_lengths(len(payload))
@@ -379,8 +368,7 @@ def encode_detailed(
 
     meta = Meta(payload_start=report.payload_start, payload_end=report.payload_end)
     plain = session_key + meta.pack()
-    # report.suites is in canonical order, as entry_keys and taus are.
-    for (suite, zps), entry in zip(entry_keys, report.suites):
+    for (suite, _), zps, entry in zip(groups, entry_keys, report.suites):
         for (z, _), slot in zip(zps, entry["slots"]):
             hdr.write_entry(slot, seal_entry_point(suite, z, plain))
 
@@ -391,8 +379,8 @@ def encode_detailed(
         PAYLOAD_SCHEMES[CHACHA20_SCHEME](
             key_enc, payload, view[report.payload_start : report.payload_end]
         )
-        for (suite, tau), entry in zip(taus, report.suites):
-            entry["tau"] = tau
+        for (suite, _), draw, entry in zip(groups, draws, report.suites):
+            tau = entry["tau"] = draw.pk_encoded if suite.kind == PUBLIC_KEY else draw
             layout_mod.xor_encode(view, suite, tau, entry["primary"])
         view[report.mac_pos :] = MACS[HMAC_SHA256](key_mac, view[: report.mac_pos])
 

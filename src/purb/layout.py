@@ -50,12 +50,6 @@ class EncodeReport:
         return sum(len(s["slots"]) for s in self.suites)
 
     @property
-    def pubkey_pos(self) -> dict[int, int]:
-        """Each suite's primary key position, by suite id."""
-        by_alias = default_registry().by_alias
-        return {by_alias(s["alias"]).suite_id: s["primary"] for s in self.suites}
-
-    @property
     def compactness(self) -> float:
         """Fraction of header bytes carrying keys or entry points."""
         if not self.payload_start:
@@ -204,7 +198,7 @@ class HeaderLayout:
         self.content[start:end] = data
         _mark(self.occupied, start, end)
 
-    def reserve_pubkeys(self, suites: list[SuiteSpec]) -> dict[int, int]:
+    def reserve_pubkeys(self, suites: list[SuiteSpec]) -> None:
         """Pick each suite's primary key position, in canonical order.
 
         The primary range is written as a zero placeholder (the XOR step
@@ -227,7 +221,6 @@ class HeaderLayout:
             self._write(primary, primary + klen, b"\x00" * klen)
             for pos in suite.allowed_positions:
                 _mark(self.fixed, pos, pos + klen)
-        return self.plan.pubkey_pos
 
     def place_entry_points(
         self, suite: SuiteSpec, position_keys: list[int], rng: RandomSource

@@ -102,7 +102,10 @@ class TestProfile:
         ds = SizeDataset("t", list(range(1, 5001)))
         for spec in (PadSpec.padme(), PadSpec.next_p2(), PadSpec.fixed_block(512)):
             report = profile(ds, spec)
-            assert sum(report.histogram.values()) == len(ds.sizes)
+            # Anonymity-set size -> objects: a set of size k holds k objects.
+            histogram = Counter(report.set_sizes)
+            assert sum(histogram.values()) == len(ds.sizes)
+            assert all(count % k == 0 for k, count in histogram.items())
             assert report.total == len(ds.sizes)
 
     @pytest.mark.parametrize(

@@ -235,7 +235,7 @@ class TestEncodeDecode:
         blob = tmp_path / "m.purb"
         assert run("encode", "--to", rcpt, "--in", msg, "--out", blob) == 0
         dec = tmp_path / "d"
-        assert run("decode", "--key", sk_path, "--try-all", "--in", blob, "--out", dec) == 0
+        assert run("decode", "--key", sk_path, "--in", blob, "--out", dec) == 0
         assert dec.read_bytes() == b"which suite?"
 
     @pytest.mark.parametrize(
@@ -243,7 +243,7 @@ class TestEncodeDecode:
         [
             (["--suite", "B"], b"\x01" * 31),
             (["--suite", "A"], bytes(32)),
-            (["--try-all"], b""),
+            ([], b""),
         ],
         ids=["B-31-bytes", "A-zero-scalar", "try-all-empty"],
     )
@@ -263,7 +263,7 @@ class TestEncodeDecode:
         sk.write_bytes(b"\x01" * 31)
         blob = tmp_path / "m.purb"
         blob.write_bytes(bytes(256))
-        assert run("decode", "--key", sk, "--try-all", "--in", blob, "--out", tmp_path / "o") == 1
+        assert run("decode", "--key", sk, "--in", blob, "--out", tmp_path / "o") == 1
         assert capsys.readouterr().out == "decode failed\n"
 
     def test_empty_recipient_file(self, tmp_path, keyfiles):

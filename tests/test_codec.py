@@ -268,6 +268,22 @@ class TestEncodeBasics:
         assert [s["alias"] for s in rep2.suites] == ["A", "B"]
         assert rep1.purb_len == rep2.purb_len
 
+    def test_suite_interleaving_does_not_change_bytes(self, registry, keypairs):
+        # The same recipients, each suite's in the same order, listed with
+        # the suites interleaved two ways: passphrases first or last, A and
+        # B alternating or not.  Every per-suite list must line up alike.
+        pw = registry.by_alias("pw")
+        a = [pk_recipient(kp) for kp in keypairs["A"][:3]]
+        b = [pk_recipient(kp) for kp in keypairs["B"][:3]]
+        p = [Recipient.password(pw, phrase) for phrase in (b"first", b"second")]
+        one = [p[0], a[0], b[0], a[1], p[1], b[1], a[2], b[2]]
+        two = [b[0], b[1], a[0], b[2], a[1], a[2], p[0], p[1]]
+        blob1, rep1 = encode_detailed(one, b"interleaved", seeded_rng(20))
+        blob2, rep2 = encode_detailed(two, b"interleaved", seeded_rng(20))
+        assert blob1 == blob2
+        assert rep1 == rep2
+        assert decode(blob1, Identity(pw, passphrase=b"second"))[0] == b"interleaved"
+
     def test_same_bucket_same_length(self, keypairs):
         rs = [pk_recipient(keypairs["B"][0])]
         b1, _ = encode_detailed(rs, b"\x00" * 900, seeded_rng(6))

@@ -20,6 +20,11 @@ def suites_by_alias(registry, *aliases):
     return [registry.by_alias(a) for a in aliases]
 
 
+def primaries(hdr):
+    """Each reserved suite's primary key position, by alias."""
+    return {s["alias"]: s["primary"] for s in hdr.plan.suites}
+
+
 def global_slot(suite, slot):
     """Slot index counted in entry lengths from ht_base."""
     offset, rem = divmod(slot[0] - suite.ht_base, suite.entry_len)
@@ -52,19 +57,20 @@ class TestReservePubkeys:
     def test_single_suite_primary_at_zero(self, registry):
         for alias in "ABCDEF":
             hdr = HeaderLayout()
-            pos = hdr.reserve_pubkeys(suites_by_alias(registry, alias))
-            assert pos[registry.by_alias(alias).suite_id] == 0
+            hdr.reserve_pubkeys(suites_by_alias(registry, alias))
+            assert primaries(hdr)[alias] == 0
 
     def test_a_then_b(self, registry):
         hdr = HeaderLayout()
-        pos = hdr.reserve_pubkeys(suites_by_alias(registry, "A", "B"))
-        assert pos[registry.by_alias("A").suite_id] == 0
-        assert pos[registry.by_alias("B").suite_id] == 64
+        hdr.reserve_pubkeys(suites_by_alias(registry, "A", "B"))
+        pos = primaries(hdr)
+        assert pos["A"] == 0
+        assert pos["B"] == 64
 
     def test_full_chain(self, registry):
         hdr = HeaderLayout()
-        pos = hdr.reserve_pubkeys(list(registry))
-        got = {registry.by_id(sid).alias: p for sid, p in pos.items()}
+        hdr.reserve_pubkeys(list(registry))
+        got = primaries(hdr)
         assert got == {"A": 0, "B": 64, "C": 96, "D": 160, "E": 192, "F": 256, "pw": 288}
 
     def test_non_canonical_order_rejected(self, registry):
@@ -78,15 +84,15 @@ class TestReservePubkeys:
         for n in range(1, len(all_suites) + 1):
             for combo in itertools.combinations(all_suites, n):
                 hdr = HeaderLayout()
-                pos = hdr.reserve_pubkeys(list(combo))
-                assert len(pos) == n
+                hdr.reserve_pubkeys(list(combo))
+                assert len(primaries(hdr)) == n
 
     def test_primaries_never_overlap(self, registry):
         hdr = HeaderLayout()
         hdr.reserve_pubkeys(list(registry))
         ranges = sorted(
-            (p, p + registry.by_id(sid).encoded_key_len)
-            for sid, p in hdr.plan.pubkey_pos.items()
+            (p, p + registry.by_alias(alias).encoded_key_len)
+            for alias, p in primaries(hdr).items()
         )
         for (a1, b1), (a2, b2) in zip(ranges, ranges[1:]):
             assert b1 <= a2
@@ -166,8 +172,8 @@ class TestPlaceEntryPoints:
                 s, [int.from_bytes(rng.randbytes(8), "big") for _ in range(20)], rng
             )
         ranges = sorted(
-            [(p, p + registry.by_id(sid).encoded_key_len)
-             for sid, p in hdr.plan.pubkey_pos.items()]
+            [(p, p + registry.by_alias(alias).encoded_key_len)
+             for alias, p in primaries(hdr).items()]
             + [slot for entry in hdr.plan.suites for slot in entry["slots"]]
         )
         for (a1, b1), (a2, b2) in zip(ranges, ranges[1:]):

@@ -94,7 +94,7 @@ def _blob_map(report) -> dict:
     """Byte ranges of an encoded blob, [start, end); no key material."""
     suites = []
     for entry in report.suites:
-        suite = default_registry().by_alias(entry["alias"])
+        suite = entry["suite"]
         primary = entry["primary"]
         suites.append({
             "alias": suite.alias,

@@ -65,8 +65,8 @@ def map_from_curve(u: int, v_is_negative: bool) -> int:
 
 def can_map_from_curve(u: int) -> bool:
     """Whether u in [0, p) is the u-coordinate of a point with a
-    representative."""
-    return u != P - A and is_square(-NON_SQUARE * u * (u + A), P)
+    representative; u = 0, the point of order 2, and u = -A have none."""
+    return u not in (0, P - A) and is_square(-NON_SQUARE * u * (u + A), P)
 
 
 ENCODED_LEN = 32

@@ -1,14 +1,15 @@
 """Header layout: byte-region reservation and blob geometry.
 
-Builds the header as a growable byte array with two reservation maps:
-one for written content, one for key positions pinned by earlier suites.
-A suite's primary key position is the first of its allowed positions not
-pinned by an earlier suite; its entry points go into the hash tables
-that table_slots walks, in the assignment with the lowest last slot,
-which keeps the header short.  The finished blob is padded so that the
-trailing TAG_LEN-byte tag never lands on any suite's key position, and
-the whole length is always a Padmé length.  EncodeReport, filled in as
-the header is built, is the one record of that geometry.
+Builds the header as a growable byte array.  EncodeReport, filled in
+as the header is built, is the one record of its geometry: what is
+reserved is read back from it, not from a second map of the bytes.
+A suite's primary key position is the first of its allowed positions
+that overlaps no allowed position of an earlier suite; its entry points
+go into the hash tables that table_slots walks, avoiding every primary
+and every entry already placed, in the assignment with the lowest last
+slot, which keeps the header short.  The finished blob is padded so that
+the trailing TAG_LEN-byte tag never lands on any suite's key position,
+and the whole length is always a Padmé length.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .padding import PadSpec
 from .rng import RandomSource
-from .suites import ENTRY_LEN, SUITES, TAG_LEN, SuiteSpec, default_registry
+from .suites import ENTRY_LEN, SUITES, TAG_LEN, SuiteSpec
 
 # Every blob pads with Padmé.  Called through PadSpec.pad_len, which
 # benchmark tracing wraps, not through padme_len.
@@ -30,9 +31,11 @@ _PADME = PadSpec.padme()
 class EncodeReport:
     """Geometry of one blob, in byte offsets.
 
-    suites holds one dict per suite, in canonical order: its "alias", its
-    "primary" key position and its entry "slots", (start, end) in
-    recipient order; encode adds the suite's hidden key or salt as "tau".
+    suites holds one dict per suite, in canonical order: the "suite"
+    itself (a SuiteSpec), its "alias", its "primary" key position and its
+    entry "slots", (start, end) in recipient order; encode adds the
+    suite's hidden key or salt as "tau".  The primary ranges and the
+    slots are all the header has reserved; no two of them overlap.
     """
 
     suites: list[dict] = field(default_factory=list)
@@ -54,15 +57,8 @@ class EncodeReport:
         """Fraction of header bytes carrying keys or entry points."""
         if not self.payload_start:
             return 1.0
-        by_alias = default_registry().by_alias
-        keys = sum(by_alias(s["alias"]).encoded_key_len for s in self.suites)
+        keys = sum(s["suite"].encoded_key_len for s in self.suites)
         return (keys + ENTRY_LEN * self.entry_count) / self.payload_start
-
-
-def _mark(mask: bytearray, start: int, end: int) -> None:
-    if len(mask) < end:
-        mask.extend(b"\x00" * (end - len(mask)))
-    mask[start:end] = b"\x01" * (end - start)
 
 
 def _global_slots(position_key: int) -> Iterator[int]:
@@ -182,8 +178,6 @@ class HeaderLayout:
 
     def __init__(self):
         self.content = bytearray()
-        self.occupied = bytearray()
-        self.fixed = bytearray()  # positions pinned against later suites
         self.plan = EncodeReport()
         self._filled = False
 
@@ -196,31 +190,39 @@ class HeaderLayout:
             grow = end - len(self.content)
             self.content.extend(b"\x00" * grow)
         self.content[start:end] = data
-        _mark(self.occupied, start, end)
+
+    def _reserved(self) -> Iterator[tuple[int, int]]:
+        """Each primary key range and entry slot in the plan, (start, end)."""
+        for record in self.plan.suites:
+            primary = record["primary"]
+            yield primary, primary + record["suite"].encoded_key_len
+            yield from record["slots"]
 
     def reserve_pubkeys(self, suites: list[SuiteSpec]) -> None:
         """Pick each suite's primary key position, in canonical order.
 
         The primary range is written as a zero placeholder (the XOR step
-        replaces it); all the suite's positions are then pinned so later
-        suites cannot sit on bytes this suite's decoders will XOR.
+        replaces it).  A later suite's primary overlaps none of this
+        suite's positions, so it never sits on bytes that this suite's
+        decoders will XOR.
         """
         order = [s.suite_id for s in suites]
         if order != sorted(set(order)):
             raise ValueError("suites must be given in canonical order")
+        pinned = []  # key ranges at the positions of earlier suites
         for suite in suites:
             klen = suite.encoded_key_len
             # Some position is always free: the suite table is built so
             # that every subset of it places (test_every_subset_placeable).
             primary = next(
                 pos for pos in suite.allowed_positions
-                if not any(self.fixed[pos : pos + klen])
+                if all(end <= pos or pos + klen <= start for start, end in pinned)
             )
-            record = {"alias": suite.alias, "primary": primary, "slots": []}
-            self.plan.suites.append(record)
+            self.plan.suites.append(
+                {"suite": suite, "alias": suite.alias, "primary": primary, "slots": []}
+            )
             self._write(primary, primary + klen, b"\x00" * klen)
-            for pos in suite.allowed_positions:
-                _mark(self.fixed, pos, pos + klen)
+            pinned.extend((pos, pos + klen) for pos in suite.allowed_positions)
 
     def place_entry_points(
         self, suite: SuiteSpec, position_keys: list[int], rng: RandomSource
@@ -229,31 +231,24 @@ class HeaderLayout:
 
         A decoder tries its key's slot in every table in turn (see
         table_slots), so any table will do.  Among the assignments of
-        distinct slots free in `occupied`, this picks one with the lowest
-        last slot (see _min_max_slots).  Returns (start, end) per key, in
-        key order; the entries get their random placeholder bytes in that
-        order too.
+        distinct slots that overlap no primary and no entry already
+        placed, this picks one with the lowest last slot (see
+        _min_max_slots).  Returns (start, end) per key, in key order; the
+        entries get their random placeholder bytes in that order too.
         """
+        if self._filled:
+            raise ValueError("entry points must be placed before filling")
         ep_len = suite.entry_len
         base = suite.ht_base
-        # Slots overlapping content already written, run by run: primaries
-        # and the entries of suites placed earlier.
         blocked = set()
-        mask = self.occupied
-        run_start = mask.find(b"\x01", base)
-        while run_start >= 0:
-            run_end = mask.find(b"\x00", run_start)
-            if run_end < 0:
-                run_end = len(mask)
-            blocked.update(
-                range((run_start - base) // ep_len, (run_end - 1 - base) // ep_len + 1)
-            )
-            run_start = mask.find(b"\x01", run_end)
+        for start, end in self._reserved():
+            # A range below base blocks negative slots, which no key uses.
+            blocked.update(range((start - base) // ep_len, (end - 1 - base) // ep_len + 1))
         chosen = _min_max_slots(position_keys, blocked)
         slots = [(base + g * ep_len, base + (g + 1) * ep_len) for g in chosen]
         for start, end in slots:
             self._write(start, end, rng.randbytes(ep_len))
-        record = next(s for s in self.plan.suites if s["alias"] == suite.alias)
+        record = next(r for r in self.plan.suites if r["suite"] is suite)
         record["slots"] = slots
         return slots
 
@@ -264,19 +259,16 @@ class HeaderLayout:
         self.content[start:end] = data
 
     def fill_random(self, rng: RandomSource) -> None:
-        """Overwrite every unreserved byte below the header end."""
-        mask = self.occupied
-        i, end = 0, len(self.content)
-        while i < end:
-            gap_start = mask.find(b"\x00", i, end)
-            if gap_start < 0:
-                break
-            gap_end = mask.find(b"\x01", gap_start, end)
-            if gap_end < 0:
-                gap_end = end
-            self.content[gap_start:gap_end] = rng.randbytes(gap_end - gap_start)
-            i = gap_end
-        _mark(self.occupied, 0, end)
+        """Overwrite every unreserved byte below the header end, one draw
+        per gap between reserved ranges, in address order.  Draws nothing
+        once the header is filled."""
+        if self._filled:
+            return
+        pos = 0  # the header ends where its last reserved range does
+        for start, end in sorted(self._reserved()):
+            if pos < start:
+                self.content[pos:start] = rng.randbytes(start - pos)
+            pos = end
         self._filled = True
 
     def _mac_collides(self, purb_len: int) -> bool:

@@ -195,16 +195,12 @@ class Registry:
     """Read-only lookup over SUITES."""
 
     _by_alias = {s.alias: s for s in SUITES}
-    _by_id = {s.suite_id: s for s in SUITES}
 
     def __iter__(self):
         return iter(SUITES)
 
     def by_alias(self, alias: str) -> SuiteSpec:
         return self._by_alias[alias]
-
-    def by_id(self, suite_id: int) -> SuiteSpec:
-        return self._by_id[suite_id]
 
 
 _DEFAULT = Registry()

@@ -34,7 +34,7 @@ from purb import curve25519, secp256k1
 from purb import suites as suites_mod
 from purb.padding import padme_len
 from purb.rng import seeded_rng
-from purb.suites import keygen
+from purb.suites import TAG_LEN, keygen
 
 # Pinned outputs of the labeled derivations for an all-zero input; computed
 # once from the raw hash primitives and frozen here.
@@ -913,11 +913,18 @@ class TestDecodeFailures:
                 decode(bytes(tampered), pk_identity(kp))
 
     def test_truncation_and_extension(self, keypairs):
-        kp = keypairs["B"][0]
-        blob, _ = encode_detailed([pk_recipient(kp)], b"length", seeded_rng(23))
-        for mutated in (blob[:-1], blob + b"\x00", blob[1:]):
-            with pytest.raises(DecodeError):
-                decode(mutated, pk_identity(kp))
+        for alias in ("A", "B"):
+            kp = keypairs[alias][0]
+            blob, report = encode_detailed([pk_recipient(kp)], b"length", seeded_rng(23))
+            for mutated in (blob[:-1], blob + b"\x00", blob[1:]):
+                with pytest.raises(DecodeError):
+                    decode(mutated, pk_identity(kp))
+            # Cut so the tag would start inside the payload: the entry
+            # still opens on the first trial, and the meta check rejects.
+            with pytest.raises(DecodeError) as info:
+                decode(blob[: report.payload_end + TAG_LEN - 1], pk_identity(kp))
+            assert str(info.value) == "decode failed"
+            assert info.value.stats.trial_count == 1
 
     def test_mismatched_identity_kind_is_uniform(self, registry, keypairs):
         # a passphrase identity against a public-key suite is caller

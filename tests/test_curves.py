@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    K256_G,
     _k256_add,
     is_on_curve,
     k256_forward_map_reference,
@@ -63,7 +64,7 @@ K256_DECODE_VECTORS = [
 
 class TestSecp256k1Group:
     def test_generator_on_curve(self):
-        assert is_on_curve((k256.GX, k256.GY))
+        assert is_on_curve(K256_G)
 
     def test_scalar_mult_matches_native(self):
         from cryptography.hazmat.primitives.asymmetric import ec
@@ -75,7 +76,7 @@ class TestSecp256k1Group:
             assert scalar_mult(k) == (nums.x, nums.y)
 
     def test_order(self):
-        assert scalar_mult(k256.N + 1) == (k256.GX, k256.GY)
+        assert scalar_mult(k256.N + 1) == K256_G
 
 
 class TestSecp256k1Codec:
@@ -255,6 +256,14 @@ class TestCurve25519Codec:
             assert len(rep) == 32
             assert c25519.unhide([rep])[0] == pk
             done += 1
+
+    @pytest.mark.parametrize("u", [0, c25519.P - c25519.A])
+    def test_hide_unmappable_u_returns_none_without_drawing(self, u):
+        class NoDraws:
+            def randbytes(self, n):
+                raise AssertionError("hide drew randomness")
+
+        assert c25519.hide(u.to_bytes(32, "little"), NoDraws()) is None
 
     def test_unhide_ignores_top_bits(self):
         rng = seeded_rng(17)

@@ -44,12 +44,25 @@ def assert_own_table_slots(suite, slots, position_keys):
         assert g == (1 << j) - 1 + pkey % (1 << j)
 
 
+def reserved_mask(hdr):
+    """One byte per header byte, 1 where the plan holds a primary key
+    range or an entry slot."""
+    mask = bytearray(hdr.end)
+    for record in hdr.plan.suites:
+        primary = record["primary"]
+        for start, end in [(primary, primary + record["suite"].encoded_key_len),
+                           *record["slots"]]:
+            mask[start:end] = b"\x01" * (end - start)
+    return mask
+
+
 def blocked_slots(hdr, suite):
-    """Global slots of the suite holding any byte already occupied."""
+    """Global slots of the suite holding any byte already reserved."""
     ep, base = suite.entry_len, suite.ht_base
+    mask = reserved_mask(hdr)
     return {
-        g for g in range(len(hdr.occupied) // ep + 1)
-        if any(hdr.occupied[base + g * ep : base + (g + 1) * ep])
+        g for g in range(len(mask) // ep + 1)
+        if any(mask[base + g * ep : base + (g + 1) * ep])
     }
 
 
@@ -201,7 +214,7 @@ class TestMinMaxPlacement:
         else:
             hdr.reserve_pubkeys([a, b])
             hdr.place_entry_points(a, a_keys, seeded_rng(40))
-        before = bytes(hdr.occupied)
+        before = bytes(reserved_mask(hdr))
         blocked = blocked_slots(hdr, b)
         slots = hdr.place_entry_points(b, keys, seeded_rng(41))
         assert len(slots) == len(keys)
@@ -260,7 +273,8 @@ class TestFillRandom:
         hdr = HeaderLayout()
         hdr.reserve_pubkeys([a, b])  # gap beyond B's key until entries arrive
         hdr.place_entry_points(b, [1], seeded_rng(10))  # lands past table 0
-        free = [i for i in range(hdr.end) if not hdr.occupied[i]]
+        mask = reserved_mask(hdr)
+        free = [i for i in range(hdr.end) if not mask[i]]
         assert free
         before = bytes(hdr.content)
         hdr.fill_random(seeded_rng(11))
@@ -273,10 +287,44 @@ class TestFillRandom:
     def test_no_free_bytes_after_fill(self, registry):
         rng = seeded_rng(26)
         hdr = HeaderLayout()
+        b = registry.by_alias("B")
         hdr.reserve_pubkeys(suites_by_alias(registry, "A", "B", "E"))
-        hdr.place_entry_points(registry.by_alias("B"), [3, 9, 27], rng)
+        hdr.place_entry_points(b, [3, 9, 27], rng)
+        mask = reserved_mask(hdr)
+        before = bytes(hdr.content)
         hdr.fill_random(rng)
-        assert all(hdr.occupied[i] for i in range(hdr.end))
+        # In address order, the free bytes are the stream's next bytes
+        # after the three entries' draws; the reserved bytes stay.
+        stream = seeded_rng(26)
+        stream.randbytes(3 * b.entry_len)
+        free = [i for i in range(hdr.end) if not mask[i]]
+        assert free
+        assert bytes(hdr.content[i] for i in free) == stream.randbytes(len(free))
+        assert all(hdr.content[i] == before[i] for i in range(hdr.end) if mask[i])
+
+    def test_second_fill_draws_nothing(self, registry):
+        class NoDraws:
+            def randbytes(self, n):
+                raise AssertionError("second fill drew randomness")
+
+        a, b = suites_by_alias(registry, "A", "B")
+        hdr = HeaderLayout()
+        hdr.reserve_pubkeys([a, b])
+        hdr.place_entry_points(b, [1], seeded_rng(12))
+        hdr.fill_random(seeded_rng(13))
+        before = bytes(hdr.content)
+        hdr.fill_random(NoDraws())
+        assert bytes(hdr.content) == before
+
+    def test_placing_after_fill_rejected(self, registry):
+        # Fill draws once per gap; an entry placed later could leave a gap
+        # of zero bytes that no fill would cover.
+        b = registry.by_alias("B")
+        hdr = HeaderLayout()
+        hdr.reserve_pubkeys([b])
+        hdr.fill_random(seeded_rng(14))
+        with pytest.raises(ValueError):
+            hdr.place_entry_points(b, [0], seeded_rng(15))
 
     def test_different_rng_only_changes_gaps(self, registry):
         a, b = suites_by_alias(registry, "A", "B")
@@ -286,7 +334,8 @@ class TestFillRandom:
             hdr.reserve_pubkeys([a, b])
             slots = hdr.place_entry_points(b, [1], seeded_rng(0))
             hdr.write_entry(slots[0], b"\xaa" * b.entry_len)
-            free = [i for i in range(hdr.end) if not hdr.occupied[i]]
+            mask = reserved_mask(hdr)
+            free = [i for i in range(hdr.end) if not mask[i]]
             hdr.fill_random(seeded_rng(seed))
             return bytes(hdr.content), free
 

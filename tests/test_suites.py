@@ -76,7 +76,6 @@ class TestRegistry:
         assert got == want
         assert list(registry) == list(SUITES)
         for suite in SUITES:
-            assert registry.by_id(suite.suite_id) is suite
             assert registry.by_alias(suite.alias) is suite
             if suite.group is not None:
                 assert suite.group.encoded_len == suite.encoded_key_len

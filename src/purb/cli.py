@@ -141,19 +141,19 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.passphrase is not None and args.suite is not None:
+        print("error: --suite applies to --key only", file=sys.stderr)
+        return 2
     try:
         if args.passphrase is not None:
             kinds = PASSWORD
             secret = args.passphrase.encode()
         else:
-            if args.key is None:
-                print("error: need --key or --passphrase", file=sys.stderr)
-                return 2
             kinds = PUBLIC_KEY
             secret = read_secret_key(args.key)
         # A blob does not say which suite it uses: with no --suite, try
         # every suite of the credential's kind.
-        if args.suite is None or kinds == PASSWORD:
+        if args.suite is None:
             candidates = [s for s in SUITES if s.kind == kinds]
         else:
             candidates = [default_registry().by_alias(args.suite)]
@@ -268,12 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decrypt a blob")
-    p.add_argument("--key", help="private key file")
+    credential = p.add_mutually_exclusive_group(required=True)
+    credential.add_argument("--key", help="private key file")
+    credential.add_argument("--passphrase", help="decode with a passphrase instead of a key")
     p.add_argument(
         "--suite", choices=pk_aliases,
         help="the key's suite; without it, every suite that can use the key",
     )
-    p.add_argument("--passphrase", help="decode with a passphrase instead of a key")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", action="store_true", help="print operation counts")

@@ -361,21 +361,19 @@ def encode_detailed(
     hdr.reserve_pubkeys([suite for suite, _ in groups])
     for (suite, _), zps in zip(groups, entry_keys):
         hdr.place_entry_points(suite, [p for _, p in zps], rng)
-    hdr.fill_random(rng)
     report = hdr.finalize_lengths(len(payload))
 
     key_enc, key_mac = derive_payload_keys(session_key)
-
     meta = Meta(payload_start=report.payload_start, payload_end=report.payload_end)
     plain = session_key + meta.pack()
-    for (suite, _), zps, entry in zip(groups, entry_keys, report.suites):
-        for (z, _), slot in zip(zps, entry["slots"]):
-            hdr.write_entry(slot, seal_entry_point(suite, z, plain))
 
     blob = hdr.build_blob(rng)
     with blob.getbuffer() as view:
-        # The ciphertext goes in before the XOR step: a suite's key
-        # positions may fall inside the payload region.
+        # The entries and the ciphertext go in before the XOR step: a
+        # suite's other key positions may overlap entries or the payload.
+        for (suite, _), zps, entry in zip(groups, entry_keys, report.suites):
+            for (z, _), (start, end) in zip(zps, entry["slots"]):
+                view[start:end] = seal_entry_point(suite, z, plain)
         PAYLOAD_SCHEMES[CHACHA20_SCHEME](
             key_enc, payload, view[report.payload_start : report.payload_end]
         )

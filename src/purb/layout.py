@@ -1,8 +1,10 @@
 """Header layout: byte-region reservation and blob geometry.
 
-Builds the header as a growable byte array.  EncodeReport, filled in
-as the header is built, is the one record of its geometry: what is
-reserved is read back from it, not from a second map of the bytes.
+Plan, then write once.  HeaderLayout first fixes the plan, an
+EncodeReport, and writes no bytes: the report is the one record of the
+header's geometry, and what is reserved is read back from it.  Then
+build_blob writes the random fill and padding straight into the blob's
+own buffer, where encode writes the sealed entries, keys and tag.
 A suite's primary key position is the first of its allowed positions
 that overlaps no allowed position of an earlier suite; its entry points
 go into the hash tables that table_slots walks, avoiding every primary
@@ -174,22 +176,10 @@ def _min_max_slots(position_keys: list[int], blocked: set[int]) -> list[int]:
 
 
 class HeaderLayout:
-    """Single-owner mutable state for one blob under construction."""
+    """Single-owner plan for one blob under construction."""
 
     def __init__(self):
-        self.content = bytearray()
         self.plan = EncodeReport()
-        self._filled = False
-
-    @property
-    def end(self) -> int:
-        return len(self.content)
-
-    def _write(self, start: int, end: int, data: bytes) -> None:
-        if len(self.content) < end:
-            grow = end - len(self.content)
-            self.content.extend(b"\x00" * grow)
-        self.content[start:end] = data
 
     def _reserved(self) -> Iterator[tuple[int, int]]:
         """Each primary key range and entry slot in the plan, (start, end)."""
@@ -201,10 +191,8 @@ class HeaderLayout:
     def reserve_pubkeys(self, suites: list[SuiteSpec]) -> None:
         """Pick each suite's primary key position, in canonical order.
 
-        The primary range is written as a zero placeholder (the XOR step
-        replaces it).  A later suite's primary overlaps none of this
-        suite's positions, so it never sits on bytes that this suite's
-        decoders will XOR.
+        A later suite's primary overlaps none of this suite's positions,
+        so it never sits on bytes that this suite's decoders will XOR.
         """
         order = [s.suite_id for s in suites]
         if order != sorted(set(order)):
@@ -221,7 +209,6 @@ class HeaderLayout:
             self.plan.suites.append(
                 {"suite": suite, "alias": suite.alias, "primary": primary, "slots": []}
             )
-            self._write(primary, primary + klen, b"\x00" * klen)
             pinned.extend((pos, pos + klen) for pos in suite.allowed_positions)
 
     def place_entry_points(
@@ -233,11 +220,11 @@ class HeaderLayout:
         table_slots), so any table will do.  Among the assignments of
         distinct slots that overlap no primary and no entry already
         placed, this picks one with the lowest last slot (see
-        _min_max_slots).  Returns (start, end) per key, in key order; the
-        entries get their random placeholder bytes in that order too.
+        _min_max_slots).  Returns (start, end) per key, in key order, and
+        draws entry_len bytes per key.
         """
-        if self._filled:
-            raise ValueError("entry points must be placed before filling")
+        if self.plan.purb_len:
+            raise ValueError("entry points must be placed before finalizing")
         ep_len = suite.entry_len
         base = suite.ht_base
         blocked = set()
@@ -246,30 +233,23 @@ class HeaderLayout:
             blocked.update(range((start - base) // ep_len, (end - 1 - base) // ep_len + 1))
         chosen = _min_max_slots(position_keys, blocked)
         slots = [(base + g * ep_len, base + (g + 1) * ep_len) for g in chosen]
-        for start, end in slots:
-            self._write(start, end, rng.randbytes(ep_len))
+        # Never written: the sealed entries take these slots.  The draw
+        # exists only to keep the seeded stream, and so the golden blobs,
+        # where they are.
+        rng.randbytes(ep_len * len(slots))
         record = next(r for r in self.plan.suites if r["suite"] is suite)
         record["slots"] = slots
         return slots
 
-    def write_entry(self, slot: tuple[int, int], data: bytes) -> None:
-        start, end = slot
-        if len(data) != end - start:
-            raise ValueError("entry-point ciphertext has wrong length")
-        self.content[start:end] = data
-
-    def fill_random(self, rng: RandomSource) -> None:
-        """Overwrite every unreserved byte below the header end, one draw
-        per gap between reserved ranges, in address order.  Draws nothing
-        once the header is filled."""
-        if self._filled:
-            return
+    def fill_random(self, view, rng: RandomSource) -> None:
+        """Write random bytes into every unreserved byte of view below the
+        header end: one draw per gap between reserved ranges, in address
+        order.  view is any writable buffer at least that long."""
         pos = 0  # the header ends where its last reserved range does
         for start, end in sorted(self._reserved()):
             if pos < start:
-                self.content[pos:start] = rng.randbytes(start - pos)
+                view[pos:start] = rng.randbytes(start - pos)
             pos = end
-        self._filled = True
 
     def _mac_collides(self, purb_len: int) -> bool:
         """Would the tag at the blob tail touch any suite's key position?
@@ -287,10 +267,8 @@ class HeaderLayout:
 
     def finalize_lengths(self, payload_len: int) -> EncodeReport:
         """Fix payload, padding, tag offsets and the total padded length."""
-        if not self._filled:
-            raise ValueError("header must be filled before finalizing")
         plan = self.plan
-        plan.payload_start = self.end
+        plan.payload_start = max((end for _, end in self._reserved()), default=0)
         plan.payload_end = plan.payload_start + payload_len
         purb_len = _PADME.pad_len(plan.payload_end + TAG_LEN)
         while self._mac_collides(purb_len):
@@ -300,24 +278,24 @@ class HeaderLayout:
         return plan
 
     def build_blob(self, rng: RandomSource) -> io.BytesIO:
-        """The final buffer: header, zeroed payload region, random padding,
-        zeroed tag region.
+        """The final buffer: random fill in the header's gaps, random
+        padding, and zeros everywhere else.
 
-        The caller writes the payload ciphertext into
-        [payload_start, payload_end) and the tag from mac_pos on, through
-        the buffer's getbuffer() view, then releases the view and takes
-        the blob with getvalue().  The blob is this one buffer, allocated
-        and faulted in once: with no view exported and the size exact,
-        CPython's getvalue() hands over the BytesIO's own bytes object
-        instead of copying it.  Only speed depends on that; any other
-        getvalue() returns the same bytes through a copy.
+        The caller writes the entries, the payload ciphertext into
+        [payload_start, payload_end), the keys and the tag from mac_pos
+        on, through the buffer's getbuffer() view, then releases the view
+        and takes the blob with getvalue().  The blob is this one buffer,
+        allocated and faulted in once: with no view exported and the size
+        exact, CPython's getvalue() hands over the BytesIO's own bytes
+        object instead of copying it.  Only speed depends on that; any
+        other getvalue() returns the same bytes through a copy.
         """
         plan = self.plan
         if plan.purb_len == 0:
             raise ValueError("finalize_lengths must run first")
         blob = zeroed_buffer(plan.purb_len)
         with blob.getbuffer() as view:
-            view[: self.end] = self.content
+            self.fill_random(view, rng)
             view[plan.payload_end : plan.mac_pos] = rng.randbytes(
                 plan.mac_pos - plan.payload_end
             )

@@ -232,15 +232,8 @@ def encap(suite: SuiteSpec, eph: KeyPair, recipients: Sequence[object]) -> list[
 
     eph is the suite's ephemeral key pair from keygen, and eph.pk_encoded
     is the hidden key that goes in the blob; recipients are group
-    elements, as unhide returns them.  Encoding runs in two phases: a
-    draw phase takes every random value (keygen here, salts for
-    passphrases) on the calling thread in suite order; a secret phase
-    then calls encap, which draws nothing, so it may run on any thread.
-    For a group with parallel_dh and two recipients or more, encode calls
-    encap on the front half of the points on the calling thread while a
-    helper thread calls it on the back half, and joins the secrets front
-    then back.  Another helper may meanwhile run password_secret for
-    passphrase recipients.
+    elements, as unhide returns them.  encap draws nothing, so it may run
+    on any thread; codec decides which (see its module docstring).
     """
     if suite.kind != PUBLIC_KEY:
         raise ValueError("encap needs a public-key suite")

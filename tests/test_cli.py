@@ -51,7 +51,8 @@ class TestKeygen:
     def test_suite_choices_are_the_public_key_suites(self, capsys):
         # keygen and decode take --suite from the public-key rows of SUITES.
         parser = cli.build_parser()
-        for command in (["keygen", "--out", "k"], ["decode", "--in", "i", "--out", "o"]):
+        decode = ["decode", "--key", "k", "--in", "i", "--out", "o"]
+        for command in (["keygen", "--out", "k"], decode):
             for suite in SUITES:
                 argv = command + ["--suite", suite.alias]
                 if suite.kind == PUBLIC_KEY:
@@ -225,6 +226,39 @@ class TestEncodeDecode:
             run("encode", "--to", rcpt, "--in", msg, "--out", tmp_path / "o", "--seed", "zz")
         assert info.value.code == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+    def test_decode_takes_exactly_one_credential(self, tmp_path, keyfiles, both):
+        # The key opens the blob, but with a passphrase beside it the
+        # command is ambiguous; without either it has nothing to try.
+        sk_path, pk_path = keyfiles
+        blob = tmp_path / "m.purb"
+        msg = tmp_path / "m"
+        msg.write_bytes(b"one credential")
+        rcpt = self.write_recipients(tmp_path, pk_path)
+        assert run("encode", "--to", rcpt, "--in", msg, "--out", blob) == 0
+        credential = ["--key", sk_path, "--passphrase", "wrong"] if both else []
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as info:
+            run("decode", *credential, "--in", blob, "--out", out)
+        assert info.value.code == 2
+        assert not out.exists()
+
+    def test_suite_with_passphrase_usage_error(self, tmp_path, keyfiles, capsys):
+        sk_path, pk_path = keyfiles
+        blob = tmp_path / "m.purb"
+        msg = tmp_path / "m"
+        msg.write_bytes(b"no suite")
+        rcpt = self.write_recipients(tmp_path, pk_path)
+        assert run("encode", "--to", rcpt, "--in", msg, "--out", blob) == 0
+        out = tmp_path / "o"
+        code = run(
+            "decode", "--passphrase", "tote-bag", "--suite", "B",
+            "--in", blob, "--out", out,
+        )
+        assert code == 2
+        assert "error: --suite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_try_all(self, tmp_path, keyfiles, capsys):
         sk_path, pk_path = keyfiles

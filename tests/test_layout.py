@@ -44,16 +44,30 @@ def assert_own_table_slots(suite, slots, position_keys):
         assert g == (1 << j) - 1 + pkey % (1 << j)
 
 
+def reserved_ranges(hdr):
+    """Each primary key range and entry slot in the plan, (start, end)."""
+    for record in hdr.plan.suites:
+        primary = record["primary"]
+        yield primary, primary + record["suite"].encoded_key_len
+        yield from record["slots"]
+
+
 def reserved_mask(hdr):
     """One byte per header byte, 1 where the plan holds a primary key
     range or an entry slot."""
-    mask = bytearray(hdr.end)
-    for record in hdr.plan.suites:
-        primary = record["primary"]
-        for start, end in [(primary, primary + record["suite"].encoded_key_len),
-                           *record["slots"]]:
-            mask[start:end] = b"\x01" * (end - start)
+    mask = bytearray(max((end for _, end in reserved_ranges(hdr)), default=0))
+    for start, end in reserved_ranges(hdr):
+        mask[start:end] = b"\x01" * (end - start)
     return mask
+
+
+def built_header(hdr, rng, payload_len=0):
+    """Finalize the plan and build the blob; its header bytes.
+
+    Nothing but the fill is written there yet: keys and entries are zero.
+    """
+    plan = hdr.finalize_lengths(payload_len)
+    return hdr.build_blob(rng).getvalue()[: plan.payload_start]
 
 
 def blocked_slots(hdr, suite):
@@ -226,15 +240,16 @@ class TestMinMaxPlacement:
         assert last == min_max_last_slot(keys, blocked)
         assert last <= max(greedy_placement(keys, blocked))
 
-    def test_rng_one_entry_draw_per_key_in_order(self, registry):
+    def test_rng_advances_entry_len_per_key(self, registry):
         b = registry.by_alias("B")
         hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         keys = [10, 11, 10, 3]
-        slots = hdr.place_entry_points(b, keys, seeded_rng(42))
-        draws = seeded_rng(42)
-        for start, end in slots:
-            assert bytes(hdr.content[start:end]) == draws.randbytes(b.entry_len)
+        rng = seeded_rng(42)
+        hdr.place_entry_points(b, keys, rng)
+        stream = seeded_rng(42)
+        stream.randbytes(b.entry_len * len(keys))
+        assert rng.randbytes(64) == stream.randbytes(64)
 
     def test_members_decode_at_their_table(self, registry):
         # 300 suite-B recipients: each member opens its entry on trial
@@ -264,9 +279,8 @@ class TestFillRandom:
         hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         hdr.place_entry_points(b, [0], seeded_rng(8))
-        before = bytes(hdr.content)
-        hdr.fill_random(seeded_rng(9))
-        assert bytes(hdr.content) == before  # no free byte below the end
+        header = built_header(hdr, seeded_rng(9))
+        assert header == bytes(96)  # no free byte below the end
 
     def test_gap_filled_reserved_untouched(self, registry):
         a, b = suites_by_alias(registry, "A", "B")
@@ -274,15 +288,14 @@ class TestFillRandom:
         hdr.reserve_pubkeys([a, b])  # gap beyond B's key until entries arrive
         hdr.place_entry_points(b, [1], seeded_rng(10))  # lands past table 0
         mask = reserved_mask(hdr)
-        free = [i for i in range(hdr.end) if not mask[i]]
+        free = [i for i in range(len(mask)) if not mask[i]]
         assert free
-        before = bytes(hdr.content)
-        hdr.fill_random(seeded_rng(11))
-        after = bytes(hdr.content)
-        for i in range(hdr.end):
+        header = built_header(hdr, seeded_rng(11))
+        assert len(header) == len(mask)
+        for i in range(len(header)):
             if i in set(free):
                 continue
-            assert before[i] == after[i]
+            assert header[i] == 0
 
     def test_no_free_bytes_after_fill(self, registry):
         rng = seeded_rng(26)
@@ -291,38 +304,23 @@ class TestFillRandom:
         hdr.reserve_pubkeys(suites_by_alias(registry, "A", "B", "E"))
         hdr.place_entry_points(b, [3, 9, 27], rng)
         mask = reserved_mask(hdr)
-        before = bytes(hdr.content)
-        hdr.fill_random(rng)
+        header = built_header(hdr, rng)
         # In address order, the free bytes are the stream's next bytes
-        # after the three entries' draws; the reserved bytes stay.
+        # after the three entries' draws; the reserved bytes stay zero.
         stream = seeded_rng(26)
         stream.randbytes(3 * b.entry_len)
-        free = [i for i in range(hdr.end) if not mask[i]]
+        free = [i for i in range(len(header)) if not mask[i]]
         assert free
-        assert bytes(hdr.content[i] for i in free) == stream.randbytes(len(free))
-        assert all(hdr.content[i] == before[i] for i in range(hdr.end) if mask[i])
+        assert bytes(header[i] for i in free) == stream.randbytes(len(free))
+        assert all(header[i] == 0 for i in range(len(header)) if mask[i])
 
-    def test_second_fill_draws_nothing(self, registry):
-        class NoDraws:
-            def randbytes(self, n):
-                raise AssertionError("second fill drew randomness")
-
-        a, b = suites_by_alias(registry, "A", "B")
-        hdr = HeaderLayout()
-        hdr.reserve_pubkeys([a, b])
-        hdr.place_entry_points(b, [1], seeded_rng(12))
-        hdr.fill_random(seeded_rng(13))
-        before = bytes(hdr.content)
-        hdr.fill_random(NoDraws())
-        assert bytes(hdr.content) == before
-
-    def test_placing_after_fill_rejected(self, registry):
-        # Fill draws once per gap; an entry placed later could leave a gap
-        # of zero bytes that no fill would cover.
+    def test_placing_after_finalize_rejected(self, registry):
+        # Finalizing fixes the header end; an entry placed later could
+        # land past it, inside the payload.
         b = registry.by_alias("B")
         hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
-        hdr.fill_random(seeded_rng(14))
+        hdr.finalize_lengths(0)
         with pytest.raises(ValueError):
             hdr.place_entry_points(b, [0], seeded_rng(15))
 
@@ -332,12 +330,10 @@ class TestFillRandom:
         def build(seed):
             hdr = HeaderLayout()
             hdr.reserve_pubkeys([a, b])
-            slots = hdr.place_entry_points(b, [1], seeded_rng(0))
-            hdr.write_entry(slots[0], b"\xaa" * b.entry_len)
+            hdr.place_entry_points(b, [1], seeded_rng(0))
             mask = reserved_mask(hdr)
-            free = [i for i in range(hdr.end) if not mask[i]]
-            hdr.fill_random(seeded_rng(seed))
-            return bytes(hdr.content), free
+            free = [i for i in range(len(mask)) if not mask[i]]
+            return built_header(hdr, seeded_rng(seed)), free
 
         c1, free1 = build(100)
         c2, free2 = build(200)
@@ -370,9 +366,8 @@ class TestFinalizeLengths:
         hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         hdr.place_entry_points(b, [0], seeded_rng(12))
-        hdr.fill_random(seeded_rng(13))
-        assert hdr.end == 96
-        plan = hdr.finalize_lengths(100)
+        assert len(built_header(hdr, seeded_rng(13), 100)) == 96
+        plan = hdr.plan
         want = self.mac_clear_oracle(registry, 96 + 100 + 32, 32)
         assert plan.purb_len == want == 352
         assert plan.mac_pos == plan.purb_len - 32
@@ -384,9 +379,9 @@ class TestFinalizeLengths:
         hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         hdr.place_entry_points(b, [0], seeded_rng(14))
-        hdr.fill_random(seeded_rng(15))
-        plan = hdr.finalize_lengths(0)
-        assert plan.purb_len >= hdr.end + 32
+        header = built_header(hdr, seeded_rng(15), 0)
+        plan = hdr.plan
+        assert plan.purb_len >= len(header) + 32
         assert plan.payload_start == plan.payload_end
 
     @pytest.mark.parametrize("payload_len", [0, 1, 100, 5000, 123456])
@@ -395,25 +390,17 @@ class TestFinalizeLengths:
         hdr = HeaderLayout()
         hdr.reserve_pubkeys([b])
         hdr.place_entry_points(b, [3], seeded_rng(16))
-        hdr.fill_random(seeded_rng(17))
-        plan = hdr.finalize_lengths(payload_len)
+        header = built_header(hdr, seeded_rng(17), payload_len)
+        plan = hdr.plan
         assert permitted_length(plan.purb_len)
         assert plan.purb_len == self.mac_clear_oracle(
-            registry, hdr.end + payload_len + 32, 32
+            registry, len(header) + payload_len + 32, 32
         )
 
-    def test_requires_fill_first(self, registry):
-        hdr = HeaderLayout()
-        hdr.reserve_pubkeys([registry.by_alias("B")])
-        with pytest.raises(ValueError):
-            hdr.finalize_lengths(10)
-
     def test_mac_range_disjoint_from_positions(self, registry):
-        rng = seeded_rng(18)
         for payload_len in (0, 10, 200, 4000):
             hdr = HeaderLayout()
             hdr.reserve_pubkeys(list(registry))
-            hdr.fill_random(rng)
             plan = hdr.finalize_lengths(payload_len)
             for suite in registry:
                 for p in suite.allowed_positions:
@@ -519,7 +506,6 @@ class TestPlanMetrics:
         hdr = HeaderLayout()
         hdr.reserve_pubkeys([suite])
         hdr.place_entry_points(suite, [0], seeded_rng(24))
-        hdr.fill_random(seeded_rng(25))
         plan = hdr.finalize_lengths(10)
         assert plan.header_len == suite.encoded_key_len + suite.entry_len
         assert plan.compactness == 1.0
@@ -531,7 +517,6 @@ class TestPlanMetrics:
             hdr.reserve_pubkeys(suites_by_alias(registry, "A", "B"))
             hdr.place_entry_points(registry.by_alias("A"), [5, 6], rng)
             hdr.place_entry_points(registry.by_alias("B"), [7], rng)
-            hdr.fill_random(rng)
             hdr.finalize_lengths(64)
             return hdr.build_blob(rng).getvalue()
 

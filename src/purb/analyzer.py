@@ -3,6 +3,9 @@
 Pads every size in a dataset under a padding scheme, groups objects that
 become indistinguishable by length, and reports how many stay unique,
 each object's anonymity-set size, and the padding overhead paid for it.
+profile is linear in the dataset: one pass pads and counts, and the
+mean overhead is a float mean of the per-object ratios (an exact
+fraction's denominator would grow with every distinct size).
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import csv
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .padding import PadSpec
 
@@ -34,7 +36,7 @@ class AnonymityReport:
     pad_name: str
     set_sizes: list[int]  # per object, aligned with the dataset
     unique_count: int
-    mean_overhead: Fraction
+    mean_overhead: float  # mean of (padded - size) / size
 
     @property
     def total(self) -> int:
@@ -46,7 +48,7 @@ class AnonymityReport:
 
     @property
     def mean_overhead_pct(self) -> float:
-        return 100.0 * float(self.mean_overhead)
+        return 100.0 * self.mean_overhead
 
     @property
     def median_set(self) -> float:
@@ -93,51 +95,37 @@ def profile(ds: SizeDataset, spec: PadSpec) -> AnonymityReport:
     padded = [spec.pad_len(s) for s in ds.sizes]
     groups = Counter(padded)
     set_sizes = [groups[p] for p in padded]
-    unique_count = sum(1 for c in set_sizes if c == 1)
-    total_overhead = sum(
-        (Fraction(p - s, s) for p, s in zip(padded, ds.sizes)), Fraction(0)
-    )
     return AnonymityReport(
         pad_name=str(spec),
         set_sizes=set_sizes,
-        unique_count=unique_count,
-        mean_overhead=total_overhead / len(ds.sizes),
+        unique_count=sum(1 for c in set_sizes if c == 1),
+        mean_overhead=statistics.fmean(
+            (p - s) / s for p, s in zip(padded, ds.sizes)
+        ),
     )
-
-
-def compare(ds: SizeDataset, specs: list[PadSpec]) -> list[AnonymityReport]:
-    return [profile(ds, spec) for spec in specs]
 
 
 # The report's columns, in the table and in the CSV.
 COLUMNS = ("pad", "unique_pct", "mean_overhead_pct", "median_set", "max_set")
 
 
-def render_table(reports: list[AnonymityReport]) -> str:
-    rows = [
-        [
-            r.pad_name,
-            f"{r.unique_pct:.2f}",
-            f"{r.mean_overhead_pct:.2f}",
-            f"{r.median_set:g}",
-            str(r.max_set),
-        ]
-        for r in reports
+def _row(r: AnonymityReport, decimals: int) -> list[str]:
+    """One report's cells; the table prints 2 decimals, the CSV 4."""
+    return [
+        r.pad_name,
+        f"{r.unique_pct:.{decimals}f}",
+        f"{r.mean_overhead_pct:.{decimals}f}",
+        f"{r.median_set:g}",
+        str(r.max_set),
     ]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(COLUMNS)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(COLUMNS, widths))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+
+
+def render_table(reports: list[AnonymityReport]) -> str:
+    rows = [COLUMNS, *(_row(r, 2) for r in reports)]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(COLUMNS))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows)
 
 
 def write_csv(reports: list[AnonymityReport], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [r.pad_name, f"{r.unique_pct:.4f}", f"{r.mean_overhead_pct:.4f}",
-                 f"{r.median_set:g}", r.max_set]
-            )
-
+        csv.writer(f).writerows([COLUMNS, *(_row(r, 4) for r in reports)])

@@ -206,11 +206,9 @@ def cmd_decode(args) -> int:
 
 def cmd_pad(args) -> int:
     padded = args.spec.pad_len(args.length)
-    if args.length >= 1:
-        add, mult = overhead(args.spec, args.length)
-        print(f"{padded} (+{add} bytes, +{float(mult) * 100:.2f}%)")
-    else:
-        print(f"{padded} (+0 bytes, +0.00%)")
+    # Every scheme pads length 0 to 0.
+    add, mult = overhead(args.spec, args.length) if args.length else (0, 0)
+    print(f"{padded} (+{add} bytes, +{float(mult) * 100:.2f}%)")
     return 0
 
 
@@ -220,7 +218,7 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    reports = analyzer.compare(ds, args.specs)
+    reports = [analyzer.profile(ds, spec) for spec in args.specs]
     print(f"{ds.name}: {len(ds.sizes)} objects")
     print(analyzer.render_table(reports))
     if args.csv:

@@ -26,10 +26,12 @@ start no thread.  Every helper is started and joined inside the call,
 so a seeded encode gives the same bytes however the threads are
 scheduled, and it may use a second core.
 
-Each output is one BytesIO, sized once and written in place through a
-view: the blob on encode, the plaintext on decode.  Its getvalue() is
-then, in CPython, the buffer's own bytes object, not a copy.  Only
-speed depends on that; the result is the same bytes either way.
+Each output is one BytesIO over a calloc'd bytes object, written in
+place through a view: the blob on encode, the plaintext on decode.  A
+large one's pages come zeroed from the allocator and fault in where they
+are written.  In CPython the view and getvalue() share that bytes object,
+so getvalue() returns it, not a copy.  Only speed depends on that; the
+result is the same bytes either way.
 
 Decoding is trial-based and reports its operation counts; every failure
 mode collapses into the single opaque DecodeError.  For a payload of

@@ -284,11 +284,12 @@ class HeaderLayout:
         The caller writes the entries, the payload ciphertext into
         [payload_start, payload_end), the keys and the tag from mac_pos
         on, through the buffer's getbuffer() view, then releases the view
-        and takes the blob with getvalue().  The blob is this one buffer,
-        allocated and faulted in once: with no view exported and the size
-        exact, CPython's getvalue() hands over the BytesIO's own bytes
-        object instead of copying it.  Only speed depends on that; any
-        other getvalue() returns the same bytes through a copy.
+        and takes the blob with getvalue().  The blob is this one buffer
+        (zeroed_buffer): its pages are zeroed by the allocator and
+        faulted in once, where they are written, and CPython's getvalue()
+        hands back the shared bytes object itself, not a copy.  Only
+        speed depends on that; any other getvalue() returns the same
+        bytes through a copy.
         """
         plan = self.plan
         if plan.purb_len == 0:
@@ -303,16 +304,15 @@ class HeaderLayout:
 
 
 def zeroed_buffer(n: int) -> io.BytesIO:
-    """A BytesIO holding n zero bytes in one exact-size allocation.
+    """A BytesIO over bytes(n), n zero bytes that cost no zeroing pass.
 
-    Write through getbuffer() and take the result with getvalue(); see
-    HeaderLayout.build_blob.  n may be 0.
+    bytes(n) is calloc'd: a large one gets fresh mmap pages, already
+    zero, and they fault in as they are first written.  The BytesIO
+    shares that bytes object, and while nothing else refers to it,
+    getbuffer() writes into it without a copy and getvalue() returns it.
+    See HeaderLayout.build_blob.  n may be 0.
     """
-    buf = io.BytesIO()
-    if n:
-        buf.seek(n - 1)
-        buf.write(b"\x00")
-    return buf
+    return io.BytesIO(bytes(n))
 
 
 def in_range_positions(suite: SuiteSpec, purb_len: int) -> list[int]:

@@ -1,9 +1,12 @@
 """Length padding schemes and their leakage/overhead calculators.
 
-The interesting scheme pads a length so that, written as a binary float
-1.mantissa * 2^exponent, the mantissa carries no more significant bits
-than the exponent's own binary representation.  Everything is exact
+Padmé pads a length L so that, written as a binary float
+1.mantissa * 2^e with e = floor(log2 L), the mantissa carries no more
+significant bits than e's own binary representation: padme_len clears
+the low e - e.bit_length() bits, rounding up.  Everything is exact
 integer arithmetic: logarithms are bit lengths, rounding is a bit mask.
+A PadSpec's kind is the scheme's CLI spelling (padme, next2, block or
+none), so parsing and printing a spec translate nothing.
 """
 
 from __future__ import annotations
@@ -12,44 +15,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 PADME = "padme"
-NEXT_P2 = "next_p2"
-FIXED_BLOCK = "fixed_block"
+NEXT_P2 = "next2"
+FIXED_BLOCK = "block"
 NONE = "none"
 
 # Brute-force leakage counting is capped to keep the operation bounded.
 LEAKAGE_MAX_LEN = 2**24
 
 
-@dataclass(frozen=True)
-class PadmeParams:
-    """Derived quantities for one input length.
-
-    exponent: floor(log2 L); exp_bits: bits needed to write the exponent;
-    zero_bits: low bits forced to zero, clamped at 0 for L <= 1;
-    mask: zero_bits ones in the LSBs.
-    """
-
-    exponent: int
-    exp_bits: int
-    zero_bits: int
-    mask: int
-
-
-def padme_params(length: int) -> PadmeParams:
-    if length <= 1:
-        # log2 is undefined at 0 and the mask degenerates at 1; both pad
-        # to themselves, so clamp to the identity mask.
-        return PadmeParams(exponent=0, exp_bits=1, zero_bits=0, mask=0)
-    e = length.bit_length() - 1
-    s = e.bit_length()
-    z = max(0, e - s)
-    return PadmeParams(exponent=e, exp_bits=s, zero_bits=z, mask=(1 << z) - 1)
-
-
 def padme_len(length: int) -> int:
-    """Round up so the low zero_bits of the result are clear."""
-    m = padme_params(length).mask
-    return (length + m) & ~m
+    """Round up so that the low e - e.bit_length() bits of the result are
+    clear, where e = floor(log2 length); lengths 0 and 1 clear none."""
+    e = length.bit_length() - 1
+    mask = (1 << max(0, e - e.bit_length())) - 1
+    return (length + mask) & ~mask
 
 
 @dataclass(frozen=True)
@@ -80,20 +59,17 @@ class PadSpec:
     @classmethod
     def from_string(cls, text: str) -> "PadSpec":
         """Parse CLI notation: padme | next2 | block:<b> | none."""
-        if text == "padme":
-            return cls.padme()
-        if text == "next2":
-            return cls.next_p2()
-        if text == "none":
-            return cls.none()
-        if text.startswith("block:"):
-            return cls.fixed_block(int(text.split(":", 1)[1]))
+        kind, colon, block = text.partition(":")
+        if kind == FIXED_BLOCK and colon:
+            return cls.fixed_block(int(block))
+        if kind in (PADME, NEXT_P2, NONE) and not colon:
+            return cls(kind)
         raise ValueError(f"unknown pad spec {text!r}")
 
     def __str__(self) -> str:
         if self.kind == FIXED_BLOCK:
             return f"block:{self.block}"
-        return {PADME: "padme", NEXT_P2: "next2", NONE: "none"}[self.kind]
+        return self.kind
 
     def pad_len(self, length: int) -> int:
         """Padded length for a content length; total on all lengths >= 0."""

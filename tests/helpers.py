@@ -2,6 +2,7 @@
 
 Everything here recomputes expected values by a different route than the
 library code under test: permitted lengths by mantissa inspection,
+Padmé's exponent / width / zero-bits split by counting binary digits,
 worst-case padding overhead by closed form, Diffie-Hellman by a
 hand-rolled ladder, leakage by full enumeration, field kernels by Fermat
 and Euler, the Elligator2 maps by their textbook formulas, the
@@ -40,6 +41,16 @@ def scan_padded(n: int) -> int:
     while not permitted_length(n):
         n += 1
     return n
+
+
+def padme_split(n: int) -> tuple[int, int, int]:
+    """(exponent, exponent width, zero bits) of a length under Padmé, from
+    the digits of its binary string: the exponent is floor(log2 n), the
+    width is the exponent's own digit count, and the rule clears
+    exponent - width low bits, none for n <= 1 (exponent 0, width 1)."""
+    exponent = len(f"{n:b}") - 1
+    width = len(f"{exponent:b}")
+    return exponent, width, max(0, exponent - width)
 
 
 def padme_worst_overhead(max_len: int) -> tuple[Fraction, int]:

@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import log_uniform_sizes, padme_worst_overhead
+from helpers import log_uniform_sizes, padme_split, padme_worst_overhead
 from strawman import encode_flat, scan_flat
 from purb.analyzer import SizeDataset, profile
 from purb.codec import DecodeError, Identity, Recipient, decode, encode_detailed
 from purb.layout import xor_extract
-from purb.padding import PadSpec, leakage_bits, padme_len, padme_params
+from purb.padding import PadSpec, leakage_bits, padme_len
 from purb.rng import seeded_rng
-from purb.suites import PASSWORD, keygen
+from purb.suites import PASSWORD, Curve25519Group, keygen
 
 
 @contextmanager
@@ -120,14 +120,14 @@ def test_criterion_3_invariants_exhaustive():
         prev = 0
         for length in range(0, 2**20 + 1):
             padded = padme_len(length)
-            params = padme_params(length)
+            mask = (1 << padme_split(length)[2]) - 1
             assert padme_len(padded) == padded, length
             assert padded >= prev, length
-            assert padded - length <= params.mask, length
-            # permitted exactly when the low zero_bits are clear
-            own = padme_params(padded)
-            assert padded & own.mask == 0, length
-            if length & params.mask == 0:
+            assert padded - length <= mask, length
+            # permitted exactly when the low zero bits are clear
+            own_mask = (1 << padme_split(padded)[2]) - 1
+            assert padded & own_mask == 0, length
+            if length & mask == 0:
                 assert padded == length
             prev = padded
 
@@ -178,9 +178,19 @@ def test_criterion_6_compactness(registry):
             assert report.compactness == 1.0, alias
 
 
-def test_criterion_7_decode_cost(registry):
+def test_criterion_7_decode_cost(registry, monkeypatch):
     with criterion(7, "one exponentiation per suite up to r=10000; logarithmic trials"):
         suite = registry.by_alias("B")
+        assert isinstance(suite.group, Curve25519Group)
+        # exp_count only counts decaps; count the exchanges themselves
+        exchanges = []
+        real_dh = Curve25519Group.dh
+
+        def counting_dh(self, priv, element):
+            exchanges.append(element)
+            return real_dh(self, priv, element)
+
+        monkeypatch.setattr(Curve25519Group, "dh", counting_dh)
         pick = seeded_rng(700)
         for r in (1, 10, 100, 1000, 10_000):
             rng = seeded_rng(b"cost-%d" % r)
@@ -190,8 +200,10 @@ def test_criterion_7_decode_cost(registry):
             trials = []
             for _ in range(100):
                 kp = kps[int.from_bytes(pick.randbytes(4), "big") % r]
+                exchanges.clear()
                 out, stats = decode(blob, Identity(suite, secret_key=kp.sk))
                 assert out == b"cost"
+                assert len(exchanges) == 1
                 assert stats.exp_count == 1
                 trials.append(stats.trial_count)
             assert sum(trials) / len(trials) <= math.log2(max(r, 2)) + 2

@@ -1,3 +1,5 @@
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +8,6 @@ import pytest
 from helpers import log_uniform_sizes
 from purb.analyzer import (
     SizeDataset,
-    compare,
     load_sizes,
     profile,
     render_table,
@@ -90,7 +91,7 @@ class TestProfile:
         assert report.unique_count == 0
         assert report.unique_pct == 0.0
         # overhead: (10-9)/9 and 0
-        assert report.mean_overhead == Fraction(1, 18)
+        assert report.mean_overhead == pytest.approx(1 / 18, rel=1e-12)
 
     def test_identity_padding_all_unique(self):
         ds = SizeDataset("t", list(range(1, 101)))
@@ -126,6 +127,27 @@ class TestProfile:
         next2 = profile(ds, PadSpec.next_p2())
         assert padme.unique_count >= next2.unique_count
 
+    def test_linear_in_dataset(self):
+        # An exact Fraction sum is quadratic here: its denominator grows
+        # with every distinct size.  A float mean takes well under a
+        # second; 5 s leaves room for a slow or busy host.
+        sizes = random.Random(23).sample(range(1 << 20, 1 << 40), 100_000)
+        ds = SizeDataset("t", sizes)
+        t0 = time.perf_counter()
+        report = profile(ds, PadSpec.padme())
+        assert time.perf_counter() - t0 < 5.0
+        assert report.total == 100_000
+
+    @pytest.mark.parametrize(
+        "spec", [PadSpec.padme(), PadSpec.next_p2(), PadSpec.fixed_block(512)]
+    )
+    def test_mean_matches_exact_fractions(self, spec):
+        ds = log_uniform_sizes(2000, 1, 2**40, seed=4)
+        exact = sum(Fraction(spec.pad_len(s) - s, s) for s in ds.sizes) / len(ds.sizes)
+        assert exact > 0
+        mean = profile(ds, spec).mean_overhead
+        assert abs(Fraction(mean) - exact) <= exact * Fraction(1, 10**12)
+
     def test_invalid_dataset(self):
         with pytest.raises(ValueError):
             SizeDataset("t", [])
@@ -137,7 +159,7 @@ class TestCompare:
     def test_row_order_follows_specs(self):
         ds = SizeDataset("t", list(range(1, 500)))
         specs = [PadSpec.fixed_block(512), PadSpec.next_p2(), PadSpec.padme()]
-        reports = compare(ds, specs)
+        reports = [profile(ds, spec) for spec in specs]
         assert [r.pad_name for r in reports] == ["block:512", "next2", "padme"]
 
     def test_log_uniform_overheads(self):
@@ -149,7 +171,7 @@ class TestCompare:
 
     def test_render_table_shape(self):
         ds = SizeDataset("t", [9, 10, 100])
-        out = render_table(compare(ds, [PadSpec.padme(), PadSpec.none()]))
+        out = render_table([profile(ds, PadSpec.padme()), profile(ds, PadSpec.none())])
         lines = out.splitlines()
         assert len(lines) == 3
         assert lines[0].split()[:2] == ["pad", "unique_pct"]
@@ -157,11 +179,33 @@ class TestCompare:
     def test_write_csv(self, tmp_path):
         ds = SizeDataset("t", [9, 10, 100])
         path = tmp_path / "out.csv"
-        write_csv(compare(ds, [PadSpec.padme()]), str(path))
+        write_csv([profile(ds, PadSpec.padme())], str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "pad,unique_pct,mean_overhead_pct,median_set,max_set"
         assert lines[1].startswith("padme,")
 
+
+    def test_table_and_csv_share_cells(self, tmp_path):
+        # The table rounds to 2 decimals and pads columns; the CSV keeps 4.
+        ds = SizeDataset("t", [9, 10, 100, 1000, 1025])
+        specs = ["block:512", "next2", "padme", "none"]
+        reports = [profile(ds, PadSpec.from_string(s)) for s in specs]
+        assert render_table(reports).splitlines() == [
+            "pad        unique_pct  mean_overhead_pct  median_set  max_set",
+            "block:512  40.00       2214.63            3           3      ",
+            "next2      60.00       53.60              1           2      ",
+            "padme      60.00       4.73               1           2      ",
+            "none       100.00      0.00               1           1      ",
+        ]
+        path = tmp_path / "out.csv"
+        write_csv(reports, str(path))
+        assert path.read_bytes() == (
+            b"pad,unique_pct,mean_overhead_pct,median_set,max_set\r\n"
+            b"block:512,40.0000,2214.6285,3,3\r\n"
+            b"next2,60.0000,53.5965,1,2\r\n"
+            b"padme,60.0000,4.7315,1,2\r\n"
+            b"none,100.0000,0.0000,1,1\r\n"
+        )
 
 class TestSynthetic:
     def test_log_uniform_bounds_and_determinism(self):

@@ -723,8 +723,7 @@ class TestDecodeThreads:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("scheme", [CHACHA20_SCHEME])
-    def test_large_round_trip_each_scheme(self, keypairs, scheme):
+    def test_large_round_trip(self, keypairs):
         kp = keypairs["D"][0]
         payload = _large_payload(86)
         blob, _ = encode_detailed([pk_recipient(kp)], payload, seeded_rng(87))
@@ -777,16 +776,14 @@ class TestRoundTrips:
         out, _ = decode(blob, Identity(pw, passphrase=b"pass1"))
         assert out == payload
 
-    @pytest.mark.parametrize("scheme", [CHACHA20_SCHEME])
-    def test_payload_schemes(self, keypairs, scheme):
+    def test_payload_round_trip(self, keypairs):
         kp = keypairs["D"][0]
         payload = bytes(range(256)) * 4
         blob, _ = encode_detailed([pk_recipient(kp)], payload, seeded_rng(15))
         out, _ = decode(blob, pk_identity(kp))
         assert out == payload
 
-    @pytest.mark.parametrize("padname", ["padme"])
-    def test_pad_specs(self, keypairs, padname):
+    def test_blob_length_is_padme(self, keypairs):
         kp = keypairs["B"][1]
         payload = b"\x42" * 777
         blob, _ = encode_detailed([pk_recipient(kp)], payload, seeded_rng(16))

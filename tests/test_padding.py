@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import leakage_by_enumeration, permitted_length, scan_padded
-from purb.padding import (
-    LEAKAGE_MAX_LEN,
-    PadSpec,
-    leakage_bits,
-    overhead,
-    padme_len,
-    padme_params,
-)
+from helpers import leakage_by_enumeration, padme_split, permitted_length, scan_padded
+from purb.padding import LEAKAGE_MAX_LEN, PadSpec, leakage_bits, overhead, padme_len
 
 
 class TestPadmePointValues:
@@ -31,12 +24,13 @@ class TestPadmePointValues:
         assert padme_len(length) == length
 
     def test_params_of_nine(self):
-        p = padme_params(9)
-        assert (p.exponent, p.exp_bits, p.zero_bits, p.mask) == (3, 2, 1, 1)
+        # 9 = 1.001b * 2^3: the exponent 3 is 2 bits wide, so 1 bit clears
+        assert padme_split(9) == (3, 2, 1)
+        assert padme_len(9) == 10
 
     def test_params_clamp_below_two(self):
-        assert padme_params(0).zero_bits == 0
-        assert padme_params(1).mask == 0
+        assert padme_split(0) == padme_split(1) == (0, 1, 0)
+        assert (padme_len(0), padme_len(1)) == (0, 1)
 
 
 class TestPadmeAgainstOracle:
@@ -54,8 +48,8 @@ class TestPadmeAgainstOracle:
         assert padded >= length
         assert permitted_length(padded)
         # nothing permitted in between
-        p = padme_params(length)
-        assert padded - length <= p.mask
+        zero_bits = padme_split(length)[2]
+        assert padded - length < 1 << zero_bits
 
     @given(st.integers(min_value=0, max_value=2**52))
     @settings(max_examples=300)
@@ -157,9 +151,9 @@ class TestOverhead:
     @given(st.integers(min_value=2, max_value=2**52))
     @settings(max_examples=200)
     def test_additive_bound_property(self, length):
-        p = padme_params(length)
+        exponent, width, _ = padme_split(length)
         add, mult = overhead(PadSpec.padme(), length)
-        assert add <= 2 ** (p.exponent - p.exp_bits) - 1
+        assert add <= 2 ** (exponent - width) - 1
         assert mult == Fraction(add, length)
 
     def test_true_maximum_is_at_129(self):

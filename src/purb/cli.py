@@ -16,7 +16,7 @@ from .codec import (
 )
 from .layout import table_index
 from .padding import PadSpec, overhead
-from .rng import RandomSource, seeded_rng, system_rng
+from .rng import system_rng
 from .suites import (
     PASSWORD,
     PUBLIC_KEY,
@@ -26,10 +26,6 @@ from .suites import (
     read_secret_key,
     write_key_files,
 )
-
-
-def _seed_rng(seed: bytes | None) -> RandomSource:
-    return system_rng() if seed is None else seeded_rng(seed)
 
 
 def _length(text: str) -> int:
@@ -42,7 +38,7 @@ def _length(text: str) -> int:
 def cmd_keygen(args) -> int:
     registry = default_registry()
     suite = registry.by_alias(args.suite)
-    kp = keygen(suite, _seed_rng(args.seed))
+    kp = keygen(suite, system_rng())
     try:
         sk_path, pk_path = write_key_files(args.out, kp)
     except OSError as e:
@@ -77,8 +73,11 @@ def _load_recipients(path: str) -> list[Recipient]:
             passphrase = _string_field(entry, i, "passphrase").encode()
             recipients.append(Recipient.password(suite, passphrase))
         else:
-            pubkey = bytes.fromhex(_string_field(entry, i, "pubkey"))
-            recipients.append(Recipient.public_key(suite, pubkey))
+            pubkey = _string_field(entry, i, "pubkey")
+            try:
+                recipients.append(Recipient.public_key(suite, bytes.fromhex(pubkey)))
+            except ValueError as e:
+                raise ValueError(f"recipient {i}: {e}")
     return recipients
 
 
@@ -115,7 +114,7 @@ def _blob_map(report) -> dict:
 
 
 def cmd_encode(args) -> int:
-    rng = _seed_rng(args.seed)
+    rng = system_rng()
     try:
         recipients = _load_recipients(args.to)
         # Throwaway extra recipients mask the real recipient count.
@@ -238,9 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="generate a key pair for a suite")
     p.add_argument("--suite", required=True, choices=pk_aliases)
     p.add_argument("--out", required=True, help="output file prefix")
-    p.add_argument(
-        "--seed", type=bytes.fromhex, help="hex seed; INSECURE, for tests only"
-    )
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("encode", help="encrypt a file for recipients, Padmé-padded")
@@ -259,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the blob's byte map (key, entry, payload, padding and "
         "tag ranges) as JSON",
-    )
-    p.add_argument(
-        "--seed", type=bytes.fromhex, help="hex seed; INSECURE, for tests only"
     )
     p.set_defaults(func=cmd_encode)
 

@@ -16,8 +16,9 @@ on the calling thread: one ephemeral key pair per public-key suite
 nothing: one call per suite gives its secrets in recipient order.  A
 public-key suite unhides its keys in one `unhide` call, so that they
 share their inversions, then runs its exchanges (encap).  When the blob
-has passphrase recipients, one helper thread runs their scrypt, which
-releases the GIL, while the calling thread runs the public-key suites.
+has passphrase and public-key recipients, one helper thread runs the
+scrypt, which releases the GIL, while the calling thread runs the
+public-key suites.
 A secp256k1 exchange releases it too and is long enough to pay for a
 thread, so a suite whose group has parallel_dh and SPLIT_MIN_RECIPIENTS
 recipients or more runs the back half of its exchanges on a second
@@ -346,12 +347,13 @@ def encode_detailed(
             if suite.kind == kind:
                 shared[i] = _suite_secrets(suite, members, draws[i])
 
-    if any(suite.kind == PASSWORD for suite, _ in groups):
+    kinds = {suite.kind for suite, _ in groups}
+    if kinds == {PASSWORD, PUBLIC_KEY}:
         # scrypt releases the GIL and the point work holds it, so the
         # passphrase secrets overlap with the unhides and exchanges.
         _beside(partial(fill_secrets, PASSWORD), partial(fill_secrets, PUBLIC_KEY))
     else:
-        fill_secrets(PUBLIC_KEY)
+        fill_secrets(kinds.pop())
     entry_keys = [
         [derive_entry_keys(k, suite) for k in ks]
         for (suite, _), ks in zip(groups, shared)

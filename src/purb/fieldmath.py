@@ -18,10 +18,6 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def invert(a: int, p: int) -> int:
-    return pow(a, -1, p)
-
-
 def invert_all(values: Sequence[int], p: int) -> list[int]:
     """Every value's inverse mod p, with one inversion and 3(n - 1)
     multiplications (Montgomery's simultaneous inversion).  ValueError

@@ -53,10 +53,6 @@ class PadSpec:
         return cls(FIXED_BLOCK, block)
 
     @classmethod
-    def none(cls) -> "PadSpec":
-        return cls(NONE)
-
-    @classmethod
     def from_string(cls, text: str) -> "PadSpec":
         """Parse CLI notation: padme | next2 | block:<b> | none."""
         kind, colon, block = text.partition(":")

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from .fieldmath import invert, invert_all, is_square, sqrt
+from .fieldmath import invert_all, is_square, sqrt
 from .rng import RandomSource
 
 P = 2**256 - 2**32 - 977
@@ -39,7 +39,7 @@ Point = tuple[int, int]
 
 # Shallue-van de Woestijne map constants.
 C1 = sqrt(-3, P)
-C2 = (C1 - 1) * invert(2, P) % P
+C2 = (C1 - 1) * pow(2, -1, P) % P
 
 _CURVE = ec.SECP256K1()
 
@@ -106,13 +106,8 @@ def forward_map_all(us: list[int]) -> list[Point]:
     return points
 
 
-def forward_map(u: int) -> Point:
-    """forward_map_all on one element."""
-    return forward_map_all([u])[0]
-
-
 def reverse_map(x: int, y: int, i: int) -> int | None:
-    """One of up to four preimages of (x, y) under forward_map.
+    """One of up to four preimages of (x, y) under the forward map.
 
     Branch i in [0, 4); branches independently return None, all non-None
     results are distinct, and together they cover every preimage.
@@ -128,27 +123,27 @@ def reverse_map(x: int, y: int, i: int) -> int | None:
                 return None
             if t1 == 0 and y & 1:
                 return None
-            u = sqrt((1 + B) * t1 * invert(t2, P), P)
+            u = sqrt((1 + B) * t1 * pow(t2, -1, P), P)
         else:
             x1 = -x - 1
             if is_square(x1 * x1 * x1 + B, P):
                 return None
-            u = sqrt((1 + B) * t2 * invert(t1, P), P)
+            u = sqrt((1 + B) * t2 * pow(t1, -1, P), P)
     else:
         z = (2 - 4 * B - 6 * x) % P
         disc = (z * z - 16 * (B + 1) ** 2) % P
         if not is_square(disc, P):
             return None
         if i == 2:
-            s = (z + sqrt(disc, P)) * invert(4, P) % P
+            s = (z + sqrt(disc, P)) * pow(4, -1, P) % P
         else:
             if disc == 0:
                 return None
-            s = (z - sqrt(disc, P)) * invert(4, P) % P
+            s = (z - sqrt(disc, P)) * pow(4, -1, P) % P
         if not is_square(s, P):
             return None
         den = (1 + B + s) % P
-        x1 = (C2 - C1 * s * invert(den, P)) % P
+        x1 = (C2 - C1 * s * pow(den, -1, P)) % P
         if is_square(x1 * x1 * x1 + B, P):
             return None
         u = sqrt(s, P)
@@ -167,7 +162,7 @@ def hide(point: Point, rng: RandomSource) -> bytes:
         if u >= P:
             continue
         branch = rng.randbytes(1)[0] & 3
-        fx, fy = forward_map(u)
+        fx, fy = forward_map_all([u])[0]
         t = (fx, -fy % P)
         q = _add_all([(t, point)])[0]
         if q is None:

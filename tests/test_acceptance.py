@@ -352,7 +352,7 @@ def test_criterion_11_structural_fuzz(registry, keypairs):
 def test_criterion_12_analyzer_oracle():
     with criterion(12, "analyzer equals regrouping oracle; synthetic overhead bounds hold"):
         ds = SizeDataset("acceptance", list(range(1, 10_001)))
-        for spec in (PadSpec.padme(), PadSpec.next_p2(), PadSpec.fixed_block(512), PadSpec.none()):
+        for spec in (PadSpec.padme(), PadSpec.next_p2(), PadSpec.fixed_block(512), PadSpec("none")):
             report = profile(ds, spec)
             padded = [spec.pad_len(s) for s in ds.sizes]
             counts = Counter(padded)

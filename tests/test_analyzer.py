@@ -95,7 +95,7 @@ class TestProfile:
 
     def test_identity_padding_all_unique(self):
         ds = SizeDataset("t", list(range(1, 101)))
-        report = profile(ds, PadSpec.none())
+        report = profile(ds, PadSpec("none"))
         assert report.unique_pct == 100.0
         assert report.mean_overhead == 0
 
@@ -111,7 +111,7 @@ class TestProfile:
 
     @pytest.mark.parametrize(
         "spec",
-        [PadSpec.padme(), PadSpec.next_p2(), PadSpec.fixed_block(512), PadSpec.none()],
+        [PadSpec.padme(), PadSpec.next_p2(), PadSpec.fixed_block(512), PadSpec("none")],
     )
     def test_matches_grouping_oracle(self, spec):
         ds = SizeDataset("t", list(range(1, 10_001)))
@@ -171,7 +171,7 @@ class TestCompare:
 
     def test_render_table_shape(self):
         ds = SizeDataset("t", [9, 10, 100])
-        out = render_table([profile(ds, PadSpec.padme()), profile(ds, PadSpec.none())])
+        out = render_table([profile(ds, PadSpec.padme()), profile(ds, PadSpec("none"))])
         lines = out.splitlines()
         assert len(lines) == 3
         assert lines[0].split()[:2] == ["pad", "unique_pct"]

@@ -16,8 +16,25 @@ def run(*args):
 @pytest.fixture
 def keyfiles(tmp_path):
     root = str(tmp_path / "alice")
-    assert run("keygen", "--suite", "B", "--out", root, "--seed", "aa") == 0
+    assert run("keygen", "--suite", "B", "--out", root) == 0
     return root + ".sk", root + ".pk"
+
+
+def test_seed_option_removed(tmp_path):
+    # Every key, session key and fill byte comes from the OS CSPRNG.
+    rcpt = tmp_path / "r.json"
+    rcpt.write_text('[{"suite": "pw", "passphrase": "p"}]')
+    msg = tmp_path / "m"
+    msg.write_bytes(b"x")
+    for argv in (
+        ["keygen", "--suite", "B", "--out", tmp_path / "k"],
+        ["encode", "--to", rcpt, "--in", msg, "--out", tmp_path / "o"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            run(*argv, "--seed", "00")
+        assert info.value.code == 2
+    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "k.sk").exists()
 
 
 class TestKeygen:
@@ -41,11 +58,6 @@ class TestKeygen:
     def test_unknown_suite_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run("keygen", "--suite", "Z", "--out", str(tmp_path / "k"))
-        assert info.value.code == 2
-
-    def test_bad_seed_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            run("keygen", "--suite", "B", "--out", tmp_path / "k", "--seed", "zz")
         assert info.value.code == 2
 
     def test_suite_choices_are_the_public_key_suites(self, capsys):
@@ -113,7 +125,7 @@ class TestEncodeDecode:
         capsys.readouterr()
 
         evil = str(tmp_path / "evil")
-        assert run("keygen", "--suite", "B", "--out", evil, "--seed", "bb") == 0
+        assert run("keygen", "--suite", "B", "--out", evil) == 0
         capsys.readouterr()
         code = run(
             "decode", "--key", evil + ".sk", "--suite", "B",
@@ -150,10 +162,7 @@ class TestEncodeDecode:
         msg = tmp_path / "m"
         msg.write_bytes(b"covered")
         blob = tmp_path / "m.purb"
-        assert run(
-            "encode", "--to", rcpt, "--in", msg, "--out", blob, "--dummy", "3",
-            "--seed", "cc",
-        ) == 0
+        assert run("encode", "--to", rcpt, "--in", msg, "--out", blob, "--dummy", "3") == 0
         dec = tmp_path / "d"
         assert run("decode", "--key", sk_path, "--suite", alias, "--in", blob, "--out", dec) == 0
         assert dec.read_bytes() == b"covered"
@@ -163,7 +172,7 @@ class TestEncodeDecode:
 
     def test_dummy_recipients_secp256k1(self, tmp_path, monkeypatch):
         root = str(tmp_path / "alice")
-        assert run("keygen", "--suite", "A", "--out", root, "--seed", "aa") == 0
+        assert run("keygen", "--suite", "A", "--out", root) == 0
         self.encode_with_dummies(tmp_path, monkeypatch, "A", (root + ".sk", root + ".pk"))
 
     def test_report_json_blob_map(self, tmp_path, keyfiles, capsys):
@@ -174,7 +183,7 @@ class TestEncodeDecode:
         blob, report = tmp_path / "m.purb", tmp_path / "m.json"
         assert run(
             "encode", "--to", rcpt, "--in", msg, "--out", blob, "--dummy", "6",
-            "--seed", "dd", "--report-json", report,
+            "--report-json", report,
         ) == 0
         text = report.read_text()
         assert "tau" not in text
@@ -204,28 +213,6 @@ class TestEncodeDecode:
         ) == 0
         table = geo["suites"][0]["entries"][0]["table"]
         assert f"trial_count={table + 1}\n" in capsys.readouterr().out
-
-    def test_seed_determinism(self, tmp_path, keyfiles):
-        sk_path, pk_path = keyfiles
-        rcpt = tmp_path / "r.json"
-        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": open(pk_path).read().strip()}]))
-        msg = tmp_path / "m"
-        msg.write_bytes(b"same every time")
-        b1, b2 = tmp_path / "1.purb", tmp_path / "2.purb"
-        assert run("encode", "--to", rcpt, "--in", msg, "--out", b1, "--seed", "0123") == 0
-        assert run("encode", "--to", rcpt, "--in", msg, "--out", b2, "--seed", "0123") == 0
-        assert b1.read_bytes() == b2.read_bytes()
-
-    def test_bad_seed_usage_error(self, tmp_path, keyfiles):
-        sk_path, pk_path = keyfiles
-        rcpt = tmp_path / "r.json"
-        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": open(pk_path).read().strip()}]))
-        msg = tmp_path / "m"
-        msg.write_bytes(b"x")
-        with pytest.raises(SystemExit) as info:
-            run("encode", "--to", rcpt, "--in", msg, "--out", tmp_path / "o", "--seed", "zz")
-        assert info.value.code == 2
-        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
     def test_decode_takes_exactly_one_credential(self, tmp_path, keyfiles, both):
@@ -322,8 +309,10 @@ class TestEncodeDecode:
             ([{"suite": "B", "pubkey": 5}], "recipient 0: 'pubkey' must be a string"),
             ([{"suite": "pw", "passphrase": 7}], "'passphrase' must be a string"),
             ([{"suite": ["B"]}], "recipient 0: 'suite' must be a string"),
+            ([{"suite": "B", "pubkey": "zz"}], "recipient 0: non-hexadecimal"),
+            ([{"suite": "B", "pubkey": "00ff"}], "recipient 0: encoded public key has wrong length"),
         ],
-        ids=["not-object", "pubkey-int", "passphrase-int", "suite-list"],
+        ids=["not-object", "pubkey-int", "passphrase-int", "suite-list", "pubkey-not-hex", "pubkey-length"],
     )
     def test_malformed_recipient_usage_error(self, tmp_path, capsys, entries, message):
         rcpt = tmp_path / "r.json"

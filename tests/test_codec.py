@@ -645,6 +645,23 @@ class TestEncodeThreads:
                 child.join()
 
 
+def test_passphrase_only_encode_starts_no_thread(registry, monkeypatch):
+    # With no public-key suite beside it, scrypt has nothing to overlap.
+    starts = []
+    real = threading.Thread.start
+
+    def counting(self):
+        starts.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    pw = registry.by_alias("pw")
+    blob, _ = encode_detailed([Recipient.password(pw, b"x")], b"alone", seeded_rng(19))
+    assert starts == []
+    monkeypatch.undo()
+    assert decode(blob, Identity(pw, passphrase=b"x"))[0] == b"alone"
+
+
 def _large_payload(seed):
     # decodes with the tag on a helper thread
     return seeded_rng(seed).randbytes(OVERLAP_MIN_PAYLOAD + 1000)

@@ -88,7 +88,7 @@ class TestSecp256k1Codec:
                 assert got is None
             else:
                 assert got == want
-                assert k256.forward_map(got) == (x, y)
+                assert k256.forward_map_all([got])[0] == (x, y)
 
     @pytest.mark.parametrize("rep_hex,x,parity", K256_DECODE_VECTORS)
     def test_decode_vectors(self, rep_hex, x, parity):
@@ -97,7 +97,7 @@ class TestSecp256k1Codec:
         assert py & 1 == parity
 
     def test_forward_map_total_at_zero(self):
-        assert is_on_curve(k256.forward_map(0))
+        assert is_on_curve(k256.forward_map_all([0])[0])
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=k256.P - 1))
@@ -105,34 +105,34 @@ class TestSecp256k1Codec:
     @example(1)
     @example(k256.P - 1)
     def test_forward_map_agrees_with_reference(self, u):
-        assert k256.forward_map(u) == k256_forward_map_reference(u)
+        assert k256.forward_map_all([u])[0] == k256_forward_map_reference(u)
 
     def test_zero_resolves_on_first_candidate(self):
         # At u = 0 the third candidate is undefined (3s = 0), so the map
         # relies on the first, x = C2, being on the curve.
         x = k256_map_candidates(0)[0]
         assert legendre_pure(x**3 + 7, k256.P) == 1
-        assert k256.forward_map(0)[0] == x
+        assert k256.forward_map_all([0])[0][0] == x
 
     def test_forward_map_resolves_on_every_candidate(self):
         rng = seeded_rng(27)
         resolved = [0, 0, 0]
         for _ in range(200):
             u = int.from_bytes(rng.randbytes(32), "big") % k256.P
-            x, _ = k256.forward_map(u)
+            x, _ = k256.forward_map_all([u])[0]
             resolved[k256_map_candidates(u).index(x)] += 1
         assert all(resolved), resolved
 
     def test_map_denominator_never_vanishes(self):
         # 1 + B + u^2 = 0 would need u^2 = -8, and -8 is a non-square mod P,
-        # so neither forward_map nor reverse_map guards against it.
+        # so neither the forward map nor reverse_map guards against it.
         assert legendre_pure(-8 % k256.P, k256.P) == -1
 
     def test_preimage_uniqueness(self):
         rng = seeded_rng(12)
         for _ in range(30):
             u = int.from_bytes(rng.randbytes(32), "big") % k256.P
-            x, y = k256.forward_map(u)
+            x, y = k256.forward_map_all([u])[0]
             assert is_on_curve((x, y))
             hits = [
                 v
@@ -156,8 +156,8 @@ class TestSecp256k1Codec:
         rng = seeded_rng(25)
         for _ in range(10):
             u = int.from_bytes(rng.randbytes(32), "big") % k256.P
-            t = k256.forward_map(u)
-            assert _k256_add(t, k256.forward_map(k256.P - u)) is None
+            t = k256.forward_map_all([u])[0]
+            assert _k256_add(t, k256.forward_map_all([k256.P - u])[0]) is None
             rep = u.to_bytes(32, "big") + (k256.P - u).to_bytes(32, "big")
             assert k256.unhide([rep])[0] == t
             assert is_on_curve(t)
@@ -166,7 +166,7 @@ class TestSecp256k1Codec:
         rng = seeded_rng(26)
         for _ in range(10):
             u = int.from_bytes(rng.randbytes(32), "big") % k256.P
-            t = k256.forward_map(u)
+            t = k256.forward_map_all([u])[0]
             got = k256.unhide([u.to_bytes(32, "big") * 2])[0]
             assert got == _k256_add(t, t)
             assert is_on_curve(got)
@@ -179,12 +179,12 @@ class TestSecp256k1Codec:
             head = seeded_stream(seed.to_bytes(8, "big"), 32)
             u = int.from_bytes(head, "big")
             assert u < k256.P
-            target = k256.forward_map(u)
+            target = k256.forward_map_all([u])[0]
             rep = k256.hide(target, seeded_rng(seed))
             assert k256.unhide([rep])[0] == target
             if rep[:32] == head:
                 v = int.from_bytes(rep[32:], "big")
-                assert _k256_add(target, k256.forward_map(v)) is None
+                assert _k256_add(target, k256.forward_map_all([v])[0]) is None
                 first_draw_kept += 1
         assert first_draw_kept
 

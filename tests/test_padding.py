@@ -81,7 +81,7 @@ class TestOtherSpecs:
             PadSpec.fixed_block(0)
 
     def test_none_is_identity(self):
-        spec = PadSpec.none()
+        spec = PadSpec("none")
         assert [spec.pad_len(n) for n in range(20)] == list(range(20))
 
     def test_negative_rejected(self):
@@ -93,7 +93,7 @@ class TestOtherSpecs:
         [
             ("padme", PadSpec.padme()),
             ("next2", PadSpec.next_p2()),
-            ("none", PadSpec.none()),
+            ("none", PadSpec("none")),
             ("block:512", PadSpec.fixed_block(512)),
         ],
     )
@@ -111,14 +111,14 @@ class TestLeakage:
         assert leakage_bits(PadSpec.fixed_block(512), 2**20) == 11
 
     def test_none_at_100(self):
-        assert leakage_bits(PadSpec.none(), 100) == 7
+        assert leakage_bits(PadSpec("none"), 100) == 7
 
     def test_next_p2_at_2_20(self):
         assert leakage_bits(PadSpec.next_p2(), 2**20) == 5
 
     @pytest.mark.parametrize(
         "spec",
-        [PadSpec.padme(), PadSpec.next_p2(), PadSpec.fixed_block(512), PadSpec.none()],
+        [PadSpec.padme(), PadSpec.next_p2(), PadSpec.fixed_block(512), PadSpec("none")],
     )
     @pytest.mark.parametrize("max_len", [1, 2, 100, 1000, 65536])
     def test_matches_enumeration_oracle(self, spec, max_len):

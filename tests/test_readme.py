@@ -1,4 +1,5 @@
-"""The README's quick starts run as written."""
+"""The README's quick starts run as written, and the package root
+exports the names they and the benchmark import, and no others."""
 
 import os
 import re
@@ -6,6 +7,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import purb
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -44,3 +47,12 @@ def test_cli_quick_start_runs(tmp_path):
     assert (tmp_path / "report.pdf").read_bytes() == report
     assert (tmp_path / "report2.pdf").read_bytes() == report
     assert "10 (+1 bytes, +11.11%)" in done.stdout.splitlines()
+
+
+def test_package_root_exports():
+    assert sorted(purb.__all__) == [
+        "DecodeError", "EncodeReport", "Identity", "KeyPair", "PadSpec",
+        "Recipient", "decode", "default_registry", "encode_detailed",
+        "keygen", "seeded_rng", "system_rng",
+    ]
+    assert all(hasattr(purb, name) for name in purb.__all__)

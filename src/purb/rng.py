@@ -1,9 +1,9 @@
 """Randomness sources.
 
 Every operation that needs randomness takes an explicit source so that
-tests and the CLI's deterministic mode can reproduce blobs byte-for-byte.
-The default source is the OS CSPRNG; the seeded source is a simple
-SHA-256 counter stream and must never be used outside tests.
+tests can reproduce blobs byte-for-byte from a seeded source.  The
+default source is the OS CSPRNG; the seeded source is a simple SHA-256
+counter stream and must never be used outside tests.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ Point = tuple[int, int]
 # Shallue-van de Woestijne map constants.
 C1 = sqrt(-3, P)
 C2 = (C1 - 1) * pow(2, -1, P) % P
+INV4 = pow(4, -1, P)  # 1/4, for reverse_map's branches 2 and 3
 
 _CURVE = ec.SECP256K1()
 
@@ -135,11 +136,11 @@ def reverse_map(x: int, y: int, i: int) -> int | None:
         if not is_square(disc, P):
             return None
         if i == 2:
-            s = (z + sqrt(disc, P)) * pow(4, -1, P) % P
+            s = (z + sqrt(disc, P)) * INV4 % P
         else:
             if disc == 0:
                 return None
-            s = (z - sqrt(disc, P)) * pow(4, -1, P) % P
+            s = (z - sqrt(disc, P)) * INV4 % P
         if not is_square(s, P):
             return None
         den = (1 + B + s) % P

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import mmap
 import multiprocessing
+import sys
 import threading
 import tracemalloc
 
@@ -15,6 +16,7 @@ from strawman import encode_flat, scan_flat
 from purb.codec import (
     CHACHA20_SCHEME,
     DecodeError,
+    ENCODE_OVERLAP_MIN_PAYLOAD,
     HMAC_SHA256,
     Identity,
     MACS,
@@ -30,6 +32,7 @@ from purb.codec import (
     seal_entry_point,
 )
 from purb import codec as codec_mod
+from purb import layout as layout_mod
 from purb import curve25519, secp256k1
 from purb import suites as suites_mod
 from purb.padding import padme_len
@@ -536,9 +539,52 @@ class TestBatchedUnhide:
         assert batches["k256"] == [5, 1]
 
 
+def _pipelined_blob(registry, keypairs, case):
+    """One seeded blob of PIPELINED_BLOBS: "<alias>-<payload length>" has
+    one recipient, the suite's first pool key or, for pw, a passphrase."""
+    alias, n = case.rsplit("-", 1)
+    suite = registry.by_alias(alias)
+    if alias == "pw":
+        r = Recipient.password(suite, b"pin")
+    else:
+        r = pk_recipient(keypairs[alias][0])
+    payload = seeded_rng(b"payload-" + case.encode()).randbytes(int(n))
+    return encode_detailed([r], payload, seeded_rng(b"chunks-" + case.encode()))
+
+
+# SHA-256 of seeded blobs just below and at ENCODE_OVERLAP_MIN_PAYLOAD
+# (2.5 MiB, five chunks) and at six chunks and 1,000 bytes, computed from
+# the encoder before it pipelined encryption and MAC.  Every payload
+# starts at byte 96, so D's key position 160 and pw's 288 lie in the
+# first chunk of ciphertext, which the XOR step reads encrypted.
+PIPELINED_BLOBS = {
+    "B-2621439": "bc755dcceb2bb387aab3246d52d04ab38a4c208c0c7fece1f4c53b7faeb84e1c",
+    "B-2621440": "0f67362bf26950768199b30d068494e731f13070f679cab1ca7f90715bbc80a6",
+    "B-3146728": "aaf874ec8fe1b32cd9c4170ab8369156415df86769b437c493c81bab9487d414",
+    "D-3146728": "544113914440032ce7893876f482ea06e5a635d14345013d460833a5d7e94ad7",
+    "pw-3146728": "73369667fa7d7b6da44c498a0b773106dfa550ff2411b9851c479007a7d88117",
+}
+
+
+def _payload_threads(monkeypatch):
+    """Record the thread of every payload-cipher and MAC call."""
+    threads = {"mac": [], "cipher": []}
+    entries = (("mac", MACS, HMAC_SHA256), ("cipher", PAYLOAD_SCHEMES, CHACHA20_SCHEME))
+    for name, table, key in entries:
+        real = table[key]
+
+        def recording(*args, real=real, name=name):
+            threads[name].append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setitem(table, key, recording)
+    return threads
+
+
 class TestEncodeThreads:
-    """Passphrase scrypt, and the back half of a secp256k1 suite's
-    exchanges, run on helper threads that live inside one encode."""
+    """Passphrase scrypt, the back half of a secp256k1 suite's exchanges,
+    and a large payload's MAC run on helper threads that live inside one
+    encode."""
 
     def test_password_secret_runs_off_calling_thread(self, registry, keypairs, monkeypatch):
         rs, identity = _mixed_recipients(registry, keypairs)
@@ -643,6 +689,124 @@ class TestEncodeThreads:
             if child.is_alive():
                 child.kill()
                 child.join()
+
+    @pytest.mark.parametrize("case", sorted(PIPELINED_BLOBS))
+    def test_pipelined_blob_bytes(self, registry, keypairs, case):
+        blob, _ = _pipelined_blob(registry, keypairs, case)
+        assert hashlib.sha256(blob).hexdigest() == PIPELINED_BLOBS[case]
+
+    @pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+    def test_mac_thread_follows_threshold(self, keypairs, monkeypatch, below):
+        # From the threshold up, the calling thread encrypts chunk by
+        # chunk and one helper computes the MAC.
+        kp = keypairs["B"][0]
+        payload = seeded_rng(90).randbytes(ENCODE_OVERLAP_MIN_PAYLOAD - below)
+        threads = _payload_threads(monkeypatch)
+        blob, _ = encode_detailed([pk_recipient(kp)], payload, seeded_rng(91))
+        me = threading.get_ident()
+        chunks = 1 if below else -(-len(payload) // OVERLAP_MIN_PAYLOAD)
+        assert threads["cipher"] == [me] * chunks
+        assert len(threads["mac"]) == 1
+        assert (threads["mac"][0] != me) == (not below)
+        monkeypatch.undo()
+        assert decode(blob, pk_identity(kp))[0] == payload
+
+    def test_concurrent_pipelined_encodes_under_fast_switching(self, keypairs):
+        # Three encoders and their three helpers on a 2-vCPU host, with the
+        # GIL switched every 10 us: a range hashed before it is final, or
+        # one hashed twice, changes the tag, and a lost wake-up leaves a
+        # worker running past the deadline.
+        case = "B-2621440"
+        rs = [pk_recipient(keypairs["B"][0])]
+        payload = seeded_rng(b"payload-" + case.encode()).randbytes(2621440)
+        digests = []
+
+        def run():
+            for _ in range(3):
+                blob, _ = encode_detailed(rs, payload, seeded_rng(b"chunks-" + case.encode()))
+                digests.append(hashlib.sha256(blob).hexdigest())
+
+        workers = [threading.Thread(target=run, daemon=True) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert digests == [PIPELINED_BLOBS[case]] * 9
+
+    def test_no_thread_outlives_pipelined_encode(self, keypairs):
+        kp = keypairs["B"][0]
+        payload = seeded_rng(92).randbytes(ENCODE_OVERLAP_MIN_PAYLOAD)
+        before = threading.active_count()
+        blob, _ = encode_detailed([pk_recipient(kp)], payload, seeded_rng(93))
+        assert threading.active_count() == before
+        assert decode(blob, pk_identity(kp))[0] == payload
+
+    @pytest.mark.parametrize("side", ["mac", "cipher"])
+    def test_pipeline_failure_on_either_side(self, keypairs, monkeypatch, side):
+        # The MAC fails on the helper thread once it holds the first range;
+        # the cipher fails on the calling thread at the second chunk, while
+        # the helper waits for it.  Either way the caller gets the
+        # exception itself, no thread is left behind, and, with the cycle
+        # collector off, the blob's buffer closes: no view of it is still
+        # exported.  The encode runs on a worker the test waits for at most
+        # a minute, so a side that waits forever fails the test.
+        class Boom(Exception):
+            pass
+
+        def failing_mac(key, data):
+            for _ in data:
+                raise Boom
+
+        cipher = PAYLOAD_SCHEMES[CHACHA20_SCHEME]
+        chunks = []
+
+        def failing_cipher(key, data, out, block):
+            chunks.append(block)
+            if len(chunks) == 2:
+                raise Boom
+            return cipher(key, data, out, block)
+
+        buffers = []
+        zeroed_buffer = layout_mod.zeroed_buffer
+
+        def recording_buffer(n):
+            buffers.append(zeroed_buffer(n))
+            return buffers[-1]
+
+        monkeypatch.setattr(layout_mod, "zeroed_buffer", recording_buffer)
+        if side == "mac":
+            monkeypatch.setitem(MACS, HMAC_SHA256, failing_mac)
+        else:
+            monkeypatch.setitem(PAYLOAD_SCHEMES, CHACHA20_SCHEME, failing_cipher)
+        kp = keypairs["B"][0]
+        payload = seeded_rng(94).randbytes(ENCODE_OVERLAP_MIN_PAYLOAD)
+        raised = []
+
+        def run():
+            try:
+                encode_detailed([pk_recipient(kp)], payload, seeded_rng(95))
+            except Boom as exc:
+                raised.append(type(exc))
+
+        worker = threading.Thread(target=run, daemon=True)
+        before = threading.active_count()
+        gc.disable()
+        try:
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            assert raised == [Boom]
+            assert threading.active_count() == before
+            (blob,) = buffers
+            blob.close()  # raises BufferError if a view is still exported
+        finally:
+            gc.enable()
 
 
 def test_passphrase_only_encode_starts_no_thread(registry, monkeypatch):
@@ -823,7 +987,7 @@ class TestRoundTrips:
             key_enc, _ = derive_payload_keys(plain[:32])
             ct = blob[meta.payload_start : meta.payload_end]
             out = bytearray(len(ct))
-            PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct, out)
+            PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct, out, 0)
             assert out == b"flat"
 
     def test_empty_payload(self, keypairs):

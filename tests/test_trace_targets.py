@@ -8,6 +8,7 @@ without PadSpec.pad_len) drops out the same way, with nothing missing.
 """
 
 import purb
+from purb.codec import ENCODE_OVERLAP_MIN_PAYLOAD, OVERLAP_MIN_PAYLOAD
 from purb.rng import seeded_rng
 from purbbench import tracing
 from purbbench.tracing import Tracer
@@ -48,3 +49,28 @@ def test_fanout_op_reaches_every_target(keypairs):
     assert tracer.missing == set()
     totals = tracing.aggregate(tracer.spans)
     assert tracing.uncalled(totals, tracer.missing, "fanout") == set()
+
+
+def test_pipelined_encode_reaches_cipher_and_mac(keypairs):
+    # One key and a payload of several chunks: the calling thread
+    # encrypts chunk by chunk and a helper thread computes the MAC, both
+    # through the wrapped entries, which count the payload's bytes and
+    # every byte before the tag.
+    kp = keypairs["B"][0]
+    recipients = [purb.Recipient.public_key(kp.suite, kp.pk_encoded)]
+    payload = seeded_rng(b"traced chunks").randbytes(ENCODE_OVERLAP_MIN_PAYLOAD + 1000)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op()
+        blob, report = purb.encode_detailed(recipients, payload, rng=tracer.rng)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    totals = tracing.aggregate(tracer.spans)
+    calls, _, _, counted = totals["codec.payload_cipher"]
+    assert (calls, counted) == (-(-len(payload) // OVERLAP_MIN_PAYLOAD), len(payload))
+    calls, _, _, counted = totals["codec.mac"]
+    assert (calls, counted) == (1, report.mac_pos)
+    identity = purb.Identity(kp.suite, secret_key=kp.sk)
+    assert purb.decode(blob, identity)[0] == payload

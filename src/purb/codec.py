@@ -13,28 +13,25 @@ Encoding keeps one list per suite, in canonical suite order, from the
 draw to the XOR step.  The draw phase takes all of the KEM's randomness
 on the calling thread: one ephemeral key pair per public-key suite
 (keygen), then one salt per password suite.  The secret phase draws
-nothing: one call per suite gives its secrets in recipient order.  A
-public-key suite unhides its keys in one `unhide` call, so that they
-share their inversions, then runs its exchanges (encap).  When the blob
-has passphrase and public-key recipients, one helper thread runs the
-scrypt, which releases the GIL, while the calling thread runs the
-public-key suites.
-A secp256k1 exchange releases it too and is long enough to pay for a
-thread, so a suite whose group has parallel_dh and SPLIT_MIN_RECIPIENTS
-recipients or more runs the back half of its exchanges on a second
-helper thread; X25519 suites, and a k256 suite with one recipient,
-start no thread.  A payload of ENCODE_OVERLAP_MIN_PAYLOAD bytes or
+nothing and gives each suite's secrets in recipient order (_secrets).
+The calling thread unhides each public-key suite's keys in one `unhide`
+call, so that they share their inversions.  The rest is one list of
+jobs, run in order by the calling thread and at most one helper: one
+scrypt per passphrase, then one exchange call (encap) per X25519 suite
+and per half of a secp256k1 suite.  The helper starts only at two or
+more slow jobs (scrypts or secp256k1 exchanges, which release the GIL)
+or at a passphrase beside public keys, and takes no exchange before the
+last unhide is done.  A payload of ENCODE_OVERLAP_MIN_PAYLOAD bytes or
 more is encrypted OVERLAP_MIN_PAYLOAD bytes at a time, and one helper
 thread feeds each finished range of the blob into the MAC, which
 releases the GIL, while the calling thread encrypts the next, which
-holds it; after each chunk the calling thread waits until the helper
-has taken it, so the helper gets the GIL at once.  The first chunk
-reaches past every key position, and the XOR step runs right after it,
-before anything is hashed.  Smaller payloads, every fanout and mailbox
-blob among them, are encrypted and MACed on the calling thread.  Every
-helper is started and joined inside the call, so a seeded encode gives
-the same bytes however the threads are scheduled, and it may use a
-second core.
+holds it; after each chunk the calling thread waits until the helper has
+taken it, so the helper gets the GIL at once.  The first chunk reaches
+past every key position, and the XOR step runs right after it, before
+anything is hashed.  Smaller payloads, every fanout and mailbox blob
+among them, are encrypted and MACed on the calling thread.  Every helper
+is started and joined inside the call, so a seeded encode gives the same
+bytes however the threads are scheduled, and it may use a second core.
 
 Each output is one BytesIO over a calloc'd bytes object, written in
 place through a view: the blob on encode, the plaintext on decode.  A
@@ -56,6 +53,7 @@ from __future__ import annotations
 
 import hmac as hmac_mod
 import hashlib
+import itertools
 import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -92,13 +90,6 @@ MAX_OFFSET = 1 << 48  # payload offsets are 48-bit fields
 # pinned and 512-640 KiB by default; it sat near 128 and 256 KiB while
 # decryption allocated its output twice.
 OVERLAP_MIN_PAYLOAD = 512 << 10
-
-# Encode splits a parallel_dh suite's exchanges across two threads from
-# this many recipients up.  A thread start and join costs about 25 us,
-# and two k256 exchanges took 445 us on one thread against 277 us split
-# (medians, 2 vCPU), so splitting pays from two; one recipient, such as
-# a single key on a small blob, starts no thread.
-SPLIT_MIN_RECIPIENTS = 2
 
 # Encode pipelines a payload of this many bytes or more: the calling
 # thread encrypts it OVERLAP_MIN_PAYLOAD bytes at a time, and a helper
@@ -294,16 +285,16 @@ def _beside(background, foreground):
     """Run background() on a helper thread while this thread runs
     foreground(); return both results, background's first.
 
-    Four callers: encode runs passphrase scrypt this way beside the
-    public-key work, the back half of a secp256k1 suite's exchanges
-    beside the front half, and a large blob's MAC beside its encryption;
-    decode runs a large blob's tag beside its decryption.  In each pair
-    the background step releases the GIL for nearly all of its run; a
-    helper that needs the GIL back often, beside Python-heavy work such
-    as X25519 unhides, would wait out the switch interval after each
-    native call instead.  The encode MAC needs it back after every
-    chunk, so the calling thread blocks until the helper has taken each
-    one (_Handover.give).  The helper is joined
+    Three callers: encode runs its secret jobs this way on both threads
+    (_secrets) and a large blob's MAC beside its encryption; decode runs
+    a large blob's tag beside its decryption.  The helper's work releases
+    the GIL for nearly all of its run; a helper that needs the GIL back
+    often, beside Python-heavy work such as unhides, would wait out the
+    switch interval after each native call instead.  So the secret
+    helper takes no exchange until the unhides are done, and the encode
+    MAC, which needs the GIL back after every chunk, has the calling
+    thread block until the helper has taken each one (_Handover.give).
+    The helper is joined
     before anything leaves this call: an exception on this thread
     propagates after the join, and one on the helper is raised here.
     """
@@ -409,22 +400,69 @@ def _encrypt_beside_mac(
     return _beside(tag, encrypt)[0]
 
 
-def _suite_secrets(suite: SuiteSpec, members: list[Recipient], draw) -> list[bytes]:
-    """One shared secret per member, in member order, under the suite's
-    draw: its ephemeral KeyPair, or its salt.  Draws nothing."""
-    if suite.kind == PASSWORD:
-        return [suites_mod.password_secret(suite, draw, m.passphrase) for m in members]
-    points = suite.group.unhide([m.pubkey for m in members])
-    if suite.group.parallel_dh and len(points) >= SPLIT_MIN_RECIPIENTS:
-        # Both threads only exchange here, so neither holds the GIL for
-        # long while the other waits for it.
-        h = (len(points) + 1) // 2
-        back, front = _beside(
-            partial(suites_mod.encap, suite, draw, points[h:]),
-            partial(suites_mod.encap, suite, draw, points[:h]),
-        )
-        return front + back
-    return suites_mod.encap(suite, draw, points)
+def _secrets(groups, draws) -> list[list[bytes]]:
+    """Each suite's shared secrets, in member order, under its draw: its
+    ephemeral KeyPair, or its salt.  Draws nothing.
+
+    This thread and at most one helper take job indices from one counter
+    until the list runs out; each result keeps its job's place, so the
+    scheduling cannot change the secrets.  The exchange jobs join the
+    list only once this thread has run every unhide, which holds the GIL.
+    """
+    jobs, spans = [], [None] * len(groups)  # spans: each suite's job indices
+    for g, ((suite, members), salt) in enumerate(zip(groups, draws)):
+        if suite.kind == PASSWORD:
+            spans[g] = range(len(jobs), len(jobs) + len(members))
+            scrypt = partial(suites_mod.password_secret, suite, salt)
+            jobs += [partial(scrypt, m.passphrase) for m in members]
+    ready, counter, done = threading.Lock(), itertools.count(), {}
+    ready.acquire()  # released once the exchange jobs are listed
+
+    def work() -> None:
+        for i in counter:
+            if i >= len(jobs):
+                with ready:  # waits until they are
+                    pass
+                if i >= len(jobs):
+                    return
+            done[i] = jobs[i]()
+
+    def unhide_then_work() -> None:
+        try:
+            exchanges = []
+            for g, ((suite, members), eph) in enumerate(zip(groups, draws)):
+                if suite.kind == PUBLIC_KEY:
+                    points = suite.group.unhide([m.pubkey for m in members])
+                    n = len(points)
+                    h = (n + 1) // 2 if suite.group.parallel_dh else n
+                    halves = [p for p in (points[:h], points[h:]) if p]
+                    start = len(jobs) + len(exchanges)
+                    spans[g] = range(start, start + len(halves))
+                    exchanges += [partial(suites_mod.encap, suite, eph, p) for p in halves]
+            jobs.extend(exchanges)
+        finally:
+            ready.release()
+        work()
+
+    # A thread start and join took 159-203 us back to back and 367-383 us
+    # after a 2 ms idle (2 vCPU).  A scrypt (about 11 ms) and a k256
+    # exchange (about 210 us) release the GIL, so two of them pay for a
+    # helper: two k256 keys split took 0.2 ms less, and two scrypts 14.7
+    # ms on two threads against 22.2 ms in a row.  So does a scrypt beside
+    # the unhides.  X25519 exchanges gain nothing from a second thread.
+    slow = len(jobs) + sum(
+        len(members) for suite, members in groups
+        if suite.kind == PUBLIC_KEY and suite.group.parallel_dh
+    )
+    if slow >= 2 or (jobs and any(s.kind == PUBLIC_KEY for s, _ in groups)):
+        _beside(work, unhide_then_work)
+    else:
+        unhide_then_work()
+    return [
+        [done[j] for j in span] if suite.kind == PASSWORD
+        else [k for j in span for k in done[j]]
+        for (suite, _), span in zip(groups, spans)
+    ]
 
 
 def encode_detailed(
@@ -457,20 +495,7 @@ def encode_detailed(
     ]
 
     # Secret phase: one shared secret per recipient, no randomness.
-    shared: list = [None] * len(groups)
-
-    def fill_secrets(kind: str) -> None:
-        for i, (suite, members) in enumerate(groups):
-            if suite.kind == kind:
-                shared[i] = _suite_secrets(suite, members, draws[i])
-
-    kinds = {suite.kind for suite, _ in groups}
-    if kinds == {PASSWORD, PUBLIC_KEY}:
-        # scrypt releases the GIL and the point work holds it, so the
-        # passphrase secrets overlap with the unhides and exchanges.
-        _beside(partial(fill_secrets, PASSWORD), partial(fill_secrets, PUBLIC_KEY))
-    else:
-        fill_secrets(kinds.pop())
+    shared = _secrets(groups, draws)
     entry_keys = [
         [derive_entry_keys(k, suite) for k in ks]
         for (suite, _), ks in zip(groups, shared)

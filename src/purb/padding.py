@@ -1,4 +1,4 @@
-"""Length padding schemes and their leakage/overhead calculators.
+"""Length padding schemes and their overhead calculator.
 
 Padmé pads a length L so that, written as a binary float
 1.mantissa * 2^e with e = floor(log2 L), the mantissa carries no more
@@ -18,10 +18,6 @@ PADME = "padme"
 NEXT_P2 = "next2"
 FIXED_BLOCK = "block"
 NONE = "none"
-
-# Brute-force leakage counting is capped to keep the operation bounded.
-LEAKAGE_MAX_LEN = 2**24
-
 
 def padme_len(length: int) -> int:
     """Round up so that the low e - e.bit_length() bits of the result are
@@ -80,28 +76,6 @@ class PadSpec:
         if self.kind == FIXED_BLOCK:
             return -(-length // self.block) * self.block
         return length
-
-
-def leakage_bits(spec: PadSpec, max_len: int) -> int:
-    """Bits needed to tell apart the padded lengths of inputs 1..max_len.
-
-    Counts the distinct outputs and returns ceil(log2 count).  All four
-    schemes are monotone and idempotent, so the count can walk the image
-    directly: every input in [L, pad(L)] pads to pad(L).
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    if max_len > LEAKAGE_MAX_LEN:
-        raise ValueError(f"max_len above brute-force cap {LEAKAGE_MAX_LEN}")
-    if spec.kind == NONE or (spec.kind == FIXED_BLOCK and spec.block == 1):
-        count = max_len  # identity padding: every length is its own bucket
-    else:
-        count = 0
-        length = 1
-        while length <= max_len:
-            count += 1
-            length = spec.pad_len(length) + 1
-    return (count - 1).bit_length()
 
 
 def overhead(spec: PadSpec, length: int) -> tuple[int, Fraction]:

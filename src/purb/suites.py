@@ -58,8 +58,9 @@ class Curve25519Group:
 
     name = "x25519"
     encoded_len = curve25519.ENCODED_LEN
-    # An exchange takes about 22 us, too short to pay for a second
-    # thread: 2x200 exchanges took 8.8 ms on one thread and 8.9 ms on two.
+    # An exchange takes about 22 us and gains nothing from a second
+    # thread (2x200 exchanges took 8.8 ms on one thread and 8.9 ms on
+    # two), so X25519 keys alone never start encode's helper.
     parallel_dh = False
 
     def private_key(self, sk: bytes) -> X25519PrivateKey:
@@ -90,9 +91,9 @@ class Secp256k1Group:
 
     name = "k256"
     encoded_len = secp256k1.ENCODED_LEN
-    # OpenSSL's exchange takes about 210 us and releases the GIL, so
-    # encode splits a suite's exchanges across two threads: 2x200
-    # exchanges took 84 ms on one thread and 44 ms on two (2 vCPU).
+    # OpenSSL's exchange takes about 210 us and releases the GIL, so two
+    # of them start encode's helper, which shares the exchange jobs:
+    # 2x200 exchanges took 84 ms on one thread and 44 ms on two (2 vCPU).
     # unhide holds the GIL and stays on the calling thread, one batch
     # per suite: 400 keys took 57-62 ms as one batch on one thread and
     # 84-92 ms as two batches of 200 on two.

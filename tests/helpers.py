@@ -4,7 +4,9 @@ Everything here recomputes expected values by a different route than the
 library code under test: permitted lengths by mantissa inspection,
 Padmé's exponent / width / zero-bits split by counting binary digits,
 worst-case padding overhead by closed form, Diffie-Hellman by a
-hand-rolled ladder, leakage by full enumeration, field kernels by Fermat
+hand-rolled ladder, leakage by full enumeration (and by walking the
+padded image, leakage_bits, which the paper's size-leakage criterion
+uses and the library does not need), field kernels by Fermat
 and Euler, the Elligator2 maps by their textbook formulas, the
 secp256k1 pair codec's forward map by Euler's criterion and a 256-bit
 exponentiation in place of SEC1 decompression, XOR masking
@@ -23,6 +25,7 @@ import random
 from fractions import Fraction
 
 from purb.analyzer import SizeDataset
+from purb.padding import FIXED_BLOCK, NONE, PadSpec
 
 
 def permitted_length(n: int) -> bool:
@@ -78,6 +81,32 @@ def leakage_by_enumeration(pad_fn, max_len: int) -> int:
     """ceil(log2 |image|) by padding every single input length."""
     image = {pad_fn(length) for length in range(1, max_len + 1)}
     return (len(image) - 1).bit_length()
+
+
+# Brute-force leakage counting is capped to keep the operation bounded.
+LEAKAGE_MAX_LEN = 2**24
+
+
+def leakage_bits(spec: PadSpec, max_len: int) -> int:
+    """Bits needed to tell apart the padded lengths of inputs 1..max_len.
+
+    Counts the distinct outputs and returns ceil(log2 count).  All four
+    schemes are monotone and idempotent, so the count can walk the image
+    directly: every input in [L, pad(L)] pads to pad(L).
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    if max_len > LEAKAGE_MAX_LEN:
+        raise ValueError(f"max_len above brute-force cap {LEAKAGE_MAX_LEN}")
+    if spec.kind == NONE or (spec.kind == FIXED_BLOCK and spec.block == 1):
+        count = max_len  # identity padding: every length is its own bucket
+    else:
+        count = 0
+        length = 1
+        while length <= max_len:
+            count += 1
+            length = spec.pad_len(length) + 1
+    return (count - 1).bit_length()
 
 
 # Montgomery ladder on Curve25519, for cross-checking the native backend.

@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import log_uniform_sizes, padme_split, padme_worst_overhead
+from helpers import leakage_bits, log_uniform_sizes, padme_split, padme_worst_overhead
 from strawman import encode_flat, scan_flat
 from purb.analyzer import SizeDataset, profile
 from purb.codec import DecodeError, Identity, Recipient, decode, encode_detailed
 from purb.layout import xor_extract
-from purb.padding import PadSpec, leakage_bits, padme_len
+from purb.padding import PadSpec, padme_len
 from purb.rng import seeded_rng
 from purb.suites import PASSWORD, Curve25519Group, keygen
 

@@ -5,6 +5,7 @@ import mmap
 import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -497,18 +498,62 @@ def _k256_recipients(registry, keypairs, count, passphrase):
     return rs
 
 
-def _dh_threads(monkeypatch):
-    """Record the thread of every exchange, per group name."""
+def _dh_threads(monkeypatch, k256_delay=0.0):
+    """Record the thread of every exchange, per group name; each k256
+    exchange first sleeps k256_delay seconds."""
     threads = {"k256": [], "x25519": []}
     for group in (suites_mod.Secp256k1Group, suites_mod.Curve25519Group):
         real = group.dh
 
         def recording(self, *args, real=real):
             threads[self.name].append(threading.get_ident())
+            if self.name == "k256":
+                time.sleep(k256_delay)
             return real(self, *args)
 
         monkeypatch.setattr(group, "dh", recording)
     return threads
+
+
+def _slow_unhide(monkeypatch, fail=None):
+    """Make every unhide sleep 0.2 s first, so that a helper has taken
+    the first job before the calling thread takes any; then raise fail,
+    if given, instead of unhiding."""
+    for group in (suites_mod.Secp256k1Group, suites_mod.Curve25519Group):
+        real = group.unhide
+
+        def sleeping(self, reps, real=real):
+            time.sleep(0.2)
+            if fail is not None:
+                raise fail
+            return real(self, reps)
+
+        monkeypatch.setattr(group, "unhide", sleeping)
+
+
+def _encode_in_worker(recipients, seed):
+    """Encode on a worker thread joined with a 60 s timeout, so a side
+    that waits forever fails the test instead of hanging it.  Checks
+    that no thread is left behind; returns what the encode raised."""
+    raised = []
+
+    def run():
+        try:
+            encode_detailed(recipients, b"m", seeded_rng(seed))
+        except Exception as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    before = threading.active_count()
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert threading.active_count() == before
+    return raised
+
+
+def _on_helper() -> bool:
+    return threading.current_thread().name == "purb-helper"
 
 
 def _roundtrip_or_exit(recipients, identity, payload):
@@ -582,12 +627,15 @@ def _payload_threads(monkeypatch):
 
 
 class TestEncodeThreads:
-    """Passphrase scrypt, the back half of a secp256k1 suite's exchanges,
-    and a large payload's MAC run on helper threads that live inside one
-    encode."""
+    """Encode's secret jobs (scrypts and exchanges) and a large payload's
+    MAC run on helper threads that live inside one encode, one helper at
+    a time."""
 
     def test_password_secret_runs_off_calling_thread(self, registry, keypairs, monkeypatch):
+        # The helper can take the scrypt, the first job, at once, while
+        # the calling thread unhides, which is slowed here.
         rs, identity = _mixed_recipients(registry, keypairs)
+        _slow_unhide(monkeypatch)
         threads = []
         real = suites_mod.password_secret
 
@@ -611,9 +659,9 @@ class TestEncodeThreads:
 
     @pytest.mark.parametrize("target", ["password_secret", "encap"])
     def test_failure_on_either_side_joins_helper(self, registry, keypairs, monkeypatch, target):
-        # password_secret fails on the helper thread, encap on the
-        # calling thread while the helper runs; either way the caller
-        # gets the exception itself and no thread is left behind.
+        # password_secret and encap each fail on whichever thread takes
+        # their job; either way the caller gets the exception itself and
+        # no thread is left behind.
         class Boom(Exception):
             pass
 
@@ -629,14 +677,19 @@ class TestEncodeThreads:
 
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_k256_exchanges_split_from_two_recipients(self, registry, keypairs, monkeypatch, count):
-        threads = _dh_threads(monkeypatch)
+        # From two k256 keys, one helper shares the exchange jobs, a half
+        # of suite A's keys first.  Each k256 exchange is slowed, so while
+        # one thread runs one half the other takes the second.  With one
+        # key there is no helper, and every exchange runs here.
+        threads = _dh_threads(monkeypatch, k256_delay=0.1)
         rs = _k256_recipients(registry, keypairs, count, passphrase=False)
         blob, _ = encode_detailed(rs, b"split", seeded_rng(16))
         me = threading.get_ident()
         assert len(threads["k256"]) == count
         assert me in threads["k256"]
         assert len(set(threads["k256"])) == (2 if count >= 2 else 1)
-        assert threads["x25519"] == [me, me]
+        assert len(threads["x25519"]) == 2
+        assert set(threads["x25519"]) <= set(threads["k256"])
         monkeypatch.undo()
         for kp in keypairs["A"][:count]:
             assert decode(blob, pk_identity(kp))[0] == b"split"
@@ -653,24 +706,112 @@ class TestEncodeThreads:
     @pytest.mark.parametrize("side", ["helper", "caller"])
     def test_split_exchange_failure_joins_helper(self, registry, keypairs, monkeypatch, side, passphrase):
         # A k256 exchange fails only on the helper thread, or only on the
-        # calling thread while the helper runs the other half.
+        # calling thread while the helper runs another job.  Exchanges on
+        # the other side are slowed, so the failing side surely takes one.
         class Boom(Exception):
             pass
 
-        me = threading.get_ident()
         real = suites_mod.Secp256k1Group.dh
 
         def failing(self, *args):
-            if (threading.get_ident() == me) == (side == "caller"):
+            if _on_helper() == (side == "helper"):
                 raise Boom
+            time.sleep(0.05)
             return real(self, *args)
 
         monkeypatch.setattr(suites_mod.Secp256k1Group, "dh", failing)
         rs = _k256_recipients(registry, keypairs, 4, passphrase)
-        before = threading.active_count()
-        with pytest.raises(Boom):
-            encode_detailed(rs, b"m", seeded_rng(18))
-        assert threading.active_count() == before
+        assert [type(e) for e in _encode_in_worker(rs, 18)] == [Boom]
+
+    def test_exchanges_wait_for_every_unhide(self, registry, keypairs, monkeypatch):
+        # The helper's scrypt, slowed here, ends while the calling thread
+        # unhides suite B's keys, slowed too.  Suite A's keys are unhidden
+        # by then, yet the helper takes no exchange before B's are.
+        events = []
+        _slow_unhide(monkeypatch)
+        for group in (suites_mod.Secp256k1Group, suites_mod.Curve25519Group):
+            unhide, dh = group.unhide, group.dh
+
+            def noting_unhide(self, reps, unhide=unhide):
+                points = unhide(self, reps)
+                events.append("unhide")
+                return points
+
+            def noting_dh(self, *args, dh=dh):
+                events.append("dh")
+                return dh(self, *args)
+
+            monkeypatch.setattr(group, "unhide", noting_unhide)
+            monkeypatch.setattr(group, "dh", noting_dh)
+        real = suites_mod.password_secret
+
+        def slow_scrypt(*args):
+            time.sleep(0.3)
+            return real(*args)
+
+        monkeypatch.setattr(suites_mod, "password_secret", slow_scrypt)
+        rs = _k256_recipients(registry, keypairs, 2, passphrase=True)
+        encode_detailed(rs, b"m", seeded_rng(25))
+        assert events == ["unhide", "unhide"] + ["dh"] * 4
+
+    @pytest.mark.parametrize("passphrase", [False, True], ids=["keys", "keys+pw"])
+    def test_unhide_failure_releases_waiting_helper(self, registry, keypairs, monkeypatch, passphrase):
+        # unhide fails on the calling thread before any exchange job
+        # exists, while the helper waits for them, after its scrypt if
+        # there is one.  No exchange runs.
+        class Boom(Exception):
+            pass
+
+        threads = _dh_threads(monkeypatch)
+        _slow_unhide(monkeypatch, fail=Boom())
+        rs = _k256_recipients(registry, keypairs, 4, passphrase)
+        assert [type(e) for e in _encode_in_worker(rs, 20)] == [Boom]
+        assert threads == {"k256": [], "x25519": []}
+
+    def test_scrypt_failure_on_helper(self, registry, keypairs, monkeypatch):
+        # The helper takes the scrypt while the calling thread unhides,
+        # slowed here, and fails; the calling thread runs every exchange.
+        class Boom(Exception):
+            pass
+
+        real = suites_mod.password_secret
+
+        def failing(*args):
+            if _on_helper():
+                raise Boom
+            return real(*args)
+
+        monkeypatch.setattr(suites_mod, "password_secret", failing)
+        _slow_unhide(monkeypatch)
+        rs = _k256_recipients(registry, keypairs, 2, passphrase=True)
+        assert [type(e) for e in _encode_in_worker(rs, 21)] == [Boom]
+
+    def test_mixed_encodes_under_fast_switching(self, registry, keypairs):
+        # Three encoders and their helpers on a 2-vCPU host, with the GIL
+        # switched every 10 us: whichever thread runs each secret job,
+        # every blob has the bytes of the encoder before the job list.
+        pw = registry.by_alias("pw")
+        rs = [pk_recipient(kp) for kp in keypairs["A"][:3] + keypairs["B"][:4]]
+        rs += [Recipient.password(pw, b"first"), Recipient.password(pw, b"second")]
+        digests = []
+
+        def run():
+            for _ in range(3):
+                blob, _ = encode_detailed(rs, b"scheduling" * 100, seeded_rng(b"scheduling"))
+                digests.append(hashlib.sha256(blob).hexdigest())
+
+        workers = [threading.Thread(target=run, daemon=True) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert digests == [MIXED_SECRETS_BLOB] * 9
 
     def test_encode_in_forked_child(self, registry, keypairs):
         # purbbench forks a child to measure RSS growth after the parent
@@ -807,6 +948,78 @@ class TestEncodeThreads:
             blob.close()  # raises BufferError if a view is still exported
         finally:
             gc.enable()
+
+
+# SHA-256 of the seeded blob for 3 A keys, 4 B keys and 2 passphrases in
+# test_mixed_encodes_under_fast_switching, computed from the encoder that
+# ran scrypt and the k256 halves on two separate helpers.
+MIXED_SECRETS_BLOB = "b8536aa392272947f1d3b73656161d348a2313e0fc793b8f91ab29cbb6104c3d"
+
+# Recipient shapes of the secret phase and the helpers each starts: none
+# for one X25519 key and for a mailbox (one A key and X25519 keys); one
+# for two slow jobs (scrypts or k256 exchanges) or a passphrase beside
+# public keys.  One passphrase alone is the test after these.
+SECRET_SHAPES = {
+    "1B": ({"B": 1}, 0),
+    "1A+7X25519": ({"A": 1, "B": 4, "D": 3}, 0),
+    "2pw": ({"pw": 2}, 1),
+    "4pw": ({"pw": 4}, 1),
+    "2A+5B+pw": ({"A": 2, "B": 5, "pw": 1}, 1),
+    "5A+2B": ({"A": 5, "B": 2}, 1),
+}
+
+
+def _counting_starts(monkeypatch):
+    """Record, at every thread start, how many helpers are alive."""
+    starts = []
+    real = threading.Thread.start
+
+    def counting(self):
+        starts.append(sum(t.name == "purb-helper" for t in threading.enumerate()))
+        return real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return starts
+
+
+def _shape_recipients(registry, keypairs, shape):
+    rs = []
+    for alias, n in shape.items():
+        if alias == "pw":
+            pw = registry.by_alias("pw")
+            rs += [Recipient.password(pw, b"pw%d" % i) for i in range(n)]
+        else:
+            rs += [pk_recipient(kp) for kp in keypairs[alias][:n]]
+    return rs
+
+
+@pytest.mark.parametrize("case", sorted(SECRET_SHAPES))
+def test_secret_phase_starts_at_most_one_helper(registry, keypairs, monkeypatch, case):
+    # A 4 KiB payload takes the serial MAC, so every start counted is the
+    # secret phase's.
+    shape, helpers = SECRET_SHAPES[case]
+    rs = _shape_recipients(registry, keypairs, shape)
+    starts = _counting_starts(monkeypatch)
+    blob, _ = encode_detailed(rs, b"s" * 4096, seeded_rng(22))
+    assert starts == [0] * helpers
+    monkeypatch.undo()
+    alias = next(iter(shape))
+    if alias == "pw":
+        identity = Identity(registry.by_alias("pw"), passphrase=b"pw0")
+    else:
+        identity = pk_identity(keypairs[alias][0])
+    assert decode(blob, identity)[0] == b"s" * 4096
+
+
+def test_pipelined_encode_never_runs_two_helpers(registry, keypairs, monkeypatch):
+    # The secret phase's helper is joined before the MAC's starts.
+    rs = _shape_recipients(registry, keypairs, {"A": 2, "pw": 1})
+    payload = seeded_rng(23).randbytes(ENCODE_OVERLAP_MIN_PAYLOAD)
+    starts = _counting_starts(monkeypatch)
+    blob, _ = encode_detailed(rs, payload, seeded_rng(24))
+    assert starts == [0, 0]
+    monkeypatch.undo()
+    assert decode(blob, pk_identity(keypairs["A"][1]))[0] == payload
 
 
 def test_passphrase_only_encode_starts_no_thread(registry, monkeypatch):

@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import leakage_by_enumeration, padme_split, permitted_length, scan_padded
-from purb.padding import LEAKAGE_MAX_LEN, PadSpec, leakage_bits, overhead, padme_len
+from helpers import (
+    LEAKAGE_MAX_LEN,
+    leakage_bits,
+    leakage_by_enumeration,
+    padme_split,
+    permitted_length,
+    scan_padded,
+)
+from purb.padding import PadSpec, overhead, padme_len
 
 
 class TestPadmePointValues:

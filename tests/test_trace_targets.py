@@ -24,8 +24,8 @@ def test_every_trace_target_resolves():
 
 
 def test_fanout_op_reaches_every_target(keypairs):
-    # Two A keys split suite A's exchanges across two threads; B and the
-    # passphrase bring in X25519 and scrypt.  Keys come from the seeded
+    # Two A keys and the passphrase start one helper, which shares the
+    # secret jobs; B and the passphrase bring in X25519 and scrypt.  Keys come from the seeded
     # pool; the encode draws from the tracer's counting source.
     registry = purb.default_registry()
     pw = registry.by_alias("pw")

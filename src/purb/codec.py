@@ -21,17 +21,20 @@ scrypt per passphrase, then one exchange call (encap) per X25519 suite
 and per half of a secp256k1 suite.  The helper starts only at two or
 more slow jobs (scrypts or secp256k1 exchanges, which release the GIL)
 or at a passphrase beside public keys, and takes no exchange before the
-last unhide is done.  A payload of ENCODE_OVERLAP_MIN_PAYLOAD bytes or
-more is encrypted OVERLAP_MIN_PAYLOAD bytes at a time, and one helper
-thread feeds each finished range of the blob into the MAC, which
-releases the GIL, while the calling thread encrypts the next, which
-holds it; after each chunk the calling thread waits until the helper has
-taken it, so the helper gets the GIL at once.  The first chunk reaches
-past every key position, and the XOR step runs right after it, before
-anything is hashed.  Smaller payloads, every fanout and mailbox blob
-among them, are encrypted and MACed on the calling thread.  Every helper
-is started and joined inside the call, so a seeded encode gives the same
-bytes however the threads are scheduled, and it may use a second core.
+last unhide is done.
+
+Both directions run the payload cipher and the MAC in one pass
+(_mac_beside): a generator does the calling thread's cipher work and
+yields the blob up to its tag range by range, each once it is final.
+Encode encrypts the payload in one call, or OVERLAP_MIN_PAYLOAD bytes at
+a time from ENCODE_OVERLAP_MIN_PAYLOAD up, and runs the XOR step right
+after the first chunk, which reaches past every key position.  Decode
+yields its one range at once, then decrypts.  From those thresholds up,
+one helper hashes each range, which releases the GIL, while the calling
+thread runs the cipher, which holds it, and waits until the helper has
+taken each range.  Smaller payloads, every fanout and mailbox blob among
+them, stay on the calling thread.  Every helper is joined inside the
+call, so thread scheduling cannot change a seeded encode's bytes.
 
 Each output is one BytesIO over a calloc'd bytes object, written in
 place through a view: the blob on encode, the plaintext on decode.  A
@@ -41,12 +44,8 @@ so getvalue() returns it, not a copy.  Only speed depends on that; the
 result is the same bytes either way.
 
 Decoding is trial-based and reports its operation counts; every failure
-mode collapses into the single opaque DecodeError.  For a payload of
-OVERLAP_MIN_PAYLOAD bytes or more, one helper thread, started and
-joined inside the call, computes the tag, which releases the GIL, while
-the calling thread decrypts the payload, which holds it; the plaintext
-leaves only after the tag verifies.  Smaller payloads, where starting a
-thread costs more than it saves, decode on the calling thread alone.
+mode collapses into the single opaque DecodeError, and the plaintext
+leaves only after the tag verifies.
 """
 
 from __future__ import annotations
@@ -78,9 +77,9 @@ from .suites import (
 
 MAX_OFFSET = 1 << 48  # payload offsets are 48-bit fields
 
-# Decode overlaps tag and decryption from this payload length up.  Below
-# it, starting and joining the helper costs more than the overlap saves.
-# Encode's pipeline (ENCODE_OVERLAP_MIN_PAYLOAD) cuts chunks of this length.
+# Decode hashes its range on a helper while it decrypts (_mac_beside) from
+# this payload length up; below it, starting and joining the helper costs
+# more than the overlap saves.  Encode's larger payloads use chunks of it.
 # With the plaintext decrypted in place, suite-B decodes (medians, 2 vCPU)
 # took, serial against overlapped: 886 against 1026 us at 256 KiB, 1072
 # against 1024 at 384 KiB and 1290 against 1106 at 512 KiB when glibc
@@ -91,9 +90,9 @@ MAX_OFFSET = 1 << 48  # payload offsets are 48-bit fields
 # decryption allocated its output twice.
 OVERLAP_MIN_PAYLOAD = 512 << 10
 
-# Encode pipelines a payload of this many bytes or more: the calling
-# thread encrypts it OVERLAP_MIN_PAYLOAD bytes at a time, and a helper
-# thread MACs each finished range while the next one is encrypted.  The
+# Encode hashes on a helper from this payload length up: the calling
+# thread encrypts OVERLAP_MIN_PAYLOAD bytes at a time, and the helper
+# hashes each finished range while the next one is encrypted.  The
 # pipeline hides the cipher's time on all chunks but the first and costs
 # a thread start and join, which took 250-380 us on a 2-vCPU host whose
 # second vCPU had idled for 2 ms.  One suite-B key, serial against
@@ -132,12 +131,10 @@ def _chacha20_stream(key: bytes, data, out, block: int) -> None:
 
 
 def _hmac_sha256(key: bytes, data) -> bytes:
-    # data is one bytes-like object, or on encode a _Handover whose
-    # ranges arrive one at a time; len(data) counts its bytes either way.
-    if not isinstance(data, _Handover):
-        return hmac_mod.new(key, data, hashlib.sha256).digest()
+    # data is one bytes-like object, or a _Handover whose ranges arrive
+    # one at a time; len(data) counts its bytes either way.
     mac = hmac_mod.new(key, digestmod=hashlib.sha256)
-    for chunk in data:
+    for chunk in data if isinstance(data, _Handover) else [data]:
         mac.update(chunk)  # releases the GIL while it hashes
     return mac.digest()
 
@@ -285,18 +282,16 @@ def _beside(background, foreground):
     """Run background() on a helper thread while this thread runs
     foreground(); return both results, background's first.
 
-    Three callers: encode runs its secret jobs this way on both threads
-    (_secrets) and a large blob's MAC beside its encryption; decode runs
-    a large blob's tag beside its decryption.  The helper's work releases
-    the GIL for nearly all of its run; a helper that needs the GIL back
-    often, beside Python-heavy work such as unhides, would wait out the
-    switch interval after each native call instead.  So the secret
-    helper takes no exchange until the unhides are done, and the encode
-    MAC, which needs the GIL back after every chunk, has the calling
-    thread block until the helper has taken each one (_Handover.give).
-    The helper is joined
-    before anything leaves this call: an exception on this thread
-    propagates after the join, and one on the helper is raised here.
+    Two callers: encode's secret jobs (_secrets), and either direction's
+    MAC beside its payload cipher (_mac_beside).  The helper's work
+    releases the GIL for nearly all of its run; a helper that needs the
+    GIL back often, beside Python-heavy work such as unhides, would wait
+    out the switch interval after each native call instead.  So the
+    secret helper takes no exchange until the unhides are done, and the
+    calling thread blocks until the MAC helper has taken each range it
+    gives (_Handover.give).  The helper is joined before anything leaves
+    this call: an exception on this thread propagates after the join,
+    and one on the helper is raised here.
     """
     outcome: list = []
 
@@ -324,40 +319,35 @@ def _beside(background, foreground):
 
 
 class _Handover:
-    """The MAC input of a blob under encryption, handed from the
-    encrypting thread to the hashing thread one range at a time.
+    """The MAC input of a blob, handed from the thread that makes it
+    final to the hashing thread one range at a time.
 
-    cuts splits view[:cuts[-1]] into ranges.  The encrypting thread calls
-    give() once each range is final; the hashing thread iterates this
-    object and gets each range as a view once it has been given.  len()
-    counts bytes, as for a buffer.  Whichever side stops first, normally
-    or on an exception, calls close(), so the other never waits for it.
+    The giving thread calls give(r) with each range in order; the hashing
+    thread iterates this object and gets each range once it is given.
+    len() counts the bytes of all of them, as for a buffer.  Whichever
+    side stops first, normally or on an exception, calls close(), so the
+    other never waits for it; the giver's close() ends the iteration.
     """
 
-    def __init__(self, view: memoryview, cuts: list[int]):
-        self._view, self._cuts = view, cuts
-        self._given = threading.Semaphore(0)
-        self._taken = threading.Semaphore(0)
+    def __init__(self, size: int):
+        self._size, self._range = size, None
+        self._given, self._taken = threading.Semaphore(0), threading.Semaphore(0)
         self._closed = False
 
     def __len__(self) -> int:
-        return self._cuts[-1]
+        return self._size
 
     def __iter__(self):
-        for start, end in zip(self._cuts, self._cuts[1:]):
-            self._given.acquire()
-            if self._closed:
-                return
+        while self._given.acquire() and not self._closed:
+            r, self._range = self._range, None
             self._taken.release()
-            yield self._view[start:end]
+            yield r
 
-    def give(self) -> None:
-        """Hand over the next range and wait until it is taken.
-
-        The wait releases the GIL, so the hashing thread takes it at once
-        instead of after a switch interval, and hands it back inside its
-        hash update, which releases it again.
-        """
+    def give(self, r) -> None:
+        """Hand over range r and wait until it is taken.  The wait releases
+        the GIL, so the hashing thread takes it at once, not after a switch
+        interval, and hands it back inside its hash update."""
+        self._range = r
         self._given.release()
         if not self._closed:
             self._taken.acquire()
@@ -368,36 +358,53 @@ class _Handover:
         self._taken.release()
 
 
-def _encrypt_beside_mac(
-    view, payload, start: int, key_enc: bytes, key_mac: bytes, mask_keys
-) -> bytes:
-    """Encrypt payload into view[start:] OVERLAP_MIN_PAYLOAD bytes at a
-    time, run mask_keys() after the first chunk, and return the MAC of
-    view[:len(view) - TAG_LEN], computed on a helper thread range by
-    range as the calling thread finishes each one."""
-    cuts = range(0, len(payload), OVERLAP_MIN_PAYLOAD)
-    handover = _Handover(view, [0, *(start + c for c in cuts[1:]), len(view) - TAG_LEN])
+def _mac_beside(key_mac: bytes, whole, ranges, beside: bool) -> bytes:
+    """Return the MAC of whole, the blob up to its tag.  ranges is a
+    generator that does this thread's payload work and yields whole one
+    range at a time, each once it is final.  With beside, a helper thread
+    hashes each range as it is given; without, this thread runs ranges to
+    its end, then hashes whole.  ranges is closed before this returns."""
+    mac = partial(MACS[HMAC_SHA256], key_mac)
+    try:
+        if not beside:
+            for _ in ranges:
+                pass
+            return mac(whole)
+        handover = _Handover(len(whole))
 
-    def encrypt() -> None:
-        try:
-            with memoryview(payload) as src:
-                for c in cuts:
-                    chunk = src[c : c + OVERLAP_MIN_PAYLOAD]
-                    out = view[start + c : start + c + len(chunk)]
-                    PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, chunk, out, c // 64)
-                    if c == 0:
-                        mask_keys()
-                    handover.give()
-        finally:
-            handover.close()
+        def give_all() -> None:
+            try:
+                for r in ranges:
+                    handover.give(r)
+            finally:
+                handover.close()
 
-    def tag() -> bytes:
-        try:
-            return MACS[HMAC_SHA256](key_mac, handover)
-        finally:
-            handover.close()
+        def hash_all() -> bytes:
+            try:
+                return mac(handover)
+            finally:
+                handover.close()
 
-    return _beside(tag, encrypt)[0]
+        return _beside(hash_all, give_all)[0]
+    finally:
+        ranges.close()
+
+
+def _encrypt_ranges(view, payload, start: int, key_enc: bytes, mask_keys, chunk: int):
+    """Encrypt payload into view[start:] chunk bytes at a time, run
+    mask_keys() after the first chunk, and yield view up to its tag one
+    range at a time: through each chunk, the last through the padding."""
+    mac_pos, done = len(view) - TAG_LEN, 0
+    with memoryview(payload) as src:
+        for c in range(0, len(src) or 1, chunk):
+            part = src[c : c + chunk]
+            out = view[start + c : start + c + len(part)]
+            PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, part, out, c // 64)
+            if c == 0:
+                mask_keys()
+            end = start + c + chunk if c + chunk < len(src) else mac_pos
+            yield view[done:end]
+            done = end
 
 
 def _secrets(groups, draws) -> list[list[bytes]]:
@@ -405,9 +412,10 @@ def _secrets(groups, draws) -> list[list[bytes]]:
     ephemeral KeyPair, or its salt.  Draws nothing.
 
     This thread and at most one helper take job indices from one counter
-    until the list runs out; each result keeps its job's place, so the
-    scheduling cannot change the secrets.  The exchange jobs join the
-    list only once this thread has run every unhide, which holds the GIL.
+    until the list runs out or a job raises; each result keeps its job's
+    place, so the scheduling cannot change the secrets.  The exchange
+    jobs join the list only once this thread has run every unhide, which
+    holds the GIL.
     """
     jobs, spans = [], [None] * len(groups)  # spans: each suite's job indices
     for g, ((suite, members), salt) in enumerate(zip(groups, draws)):
@@ -415,7 +423,7 @@ def _secrets(groups, draws) -> list[list[bytes]]:
             spans[g] = range(len(jobs), len(jobs) + len(members))
             scrypt = partial(suites_mod.password_secret, suite, salt)
             jobs += [partial(scrypt, m.passphrase) for m in members]
-    ready, counter, done = threading.Lock(), itertools.count(), {}
+    ready, counter, done, failed = threading.Lock(), itertools.count(), {}, []
     ready.acquire()  # released once the exchange jobs are listed
 
     def work() -> None:
@@ -423,9 +431,13 @@ def _secrets(groups, draws) -> list[list[bytes]]:
             if i >= len(jobs):
                 with ready:  # waits until they are
                     pass
-                if i >= len(jobs):
-                    return
-            done[i] = jobs[i]()
+            if i >= len(jobs) or failed:
+                return
+            try:
+                done[i] = jobs[i]()
+            except BaseException:
+                failed.append(i)  # neither thread starts another job
+                raise
 
     def unhide_then_work() -> None:
         try:
@@ -527,16 +539,10 @@ def encode_detailed(
         for (suite, _), zps, entry in zip(groups, entry_keys, report.suites):
             for (z, _), (start, end) in zip(zps, entry["slots"]):
                 view[start:end] = seal_entry_point(suite, z, plain)
-        if len(payload) >= ENCODE_OVERLAP_MIN_PAYLOAD:
-            view[report.mac_pos :] = _encrypt_beside_mac(
-                view, payload, report.payload_start, key_enc, key_mac, mask_keys
-            )
-        else:
-            PAYLOAD_SCHEMES[CHACHA20_SCHEME](
-                key_enc, payload, view[report.payload_start : report.payload_end], 0
-            )
-            mask_keys()
-            view[report.mac_pos :] = MACS[HMAC_SHA256](key_mac, view[: report.mac_pos])
+        beside = len(payload) >= ENCODE_OVERLAP_MIN_PAYLOAD
+        chunk = OVERLAP_MIN_PAYLOAD if beside else MAX_OFFSET  # or all in one
+        ranges = _encrypt_ranges(view, payload, report.payload_start, key_enc, mask_keys, chunk)
+        view[report.mac_pos :] = _mac_beside(key_mac, view[: report.mac_pos], ranges, beside)
 
     # The view is released, so this is the buffer itself, not a copy.
     return blob.getvalue(), report
@@ -553,10 +559,8 @@ def decode(blob, identity: Identity) -> tuple[bytes, DecodeStats]:
     modes, a meta naming scheme ids other than 01 01 01 among them, are
     indistinguishable from the caller's point of view.  The
     scan stops at the first entry point that opens, so decode time
-    depends on membership and on blob length.  A payload of
-    OVERLAP_MIN_PAYLOAD bytes or more is decrypted on the calling thread
-    while a helper thread, joined before the call returns, computes the
-    tag; the plaintext is returned only if the tag verifies.
+    depends on membership and on blob length.  The plaintext is returned
+    only if the tag verifies.
     """
     stats = DecodeStats()
     try:
@@ -600,21 +604,17 @@ def _decode(blob: memoryview, identity: Identity, stats: DecodeStats) -> bytes:
         raise DecodeError(stats)
     key_enc, key_mac = derive_payload_keys(session_key)
 
-    def tag() -> bytes:
-        return MACS[HMAC_SHA256](key_mac, blob[:mac_pos])
+    out = layout_mod.zeroed_buffer(meta.payload_end - meta.payload_start)
 
-    def payload() -> bytes:
+    def ranges():
+        yield blob[:mac_pos]
         # Decrypted in place into the buffer that becomes the result.
-        out = layout_mod.zeroed_buffer(meta.payload_end - meta.payload_start)
         with out.getbuffer() as view:
             ct = blob[meta.payload_start : meta.payload_end]
             PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct, view, 0)
-        return out.getvalue()
 
-    if meta.payload_end - meta.payload_start >= OVERLAP_MIN_PAYLOAD:
-        computed, out = _beside(tag, payload)
-    else:
-        computed, out = tag(), payload()
+    beside = meta.payload_end - meta.payload_start >= OVERLAP_MIN_PAYLOAD
+    computed = _mac_beside(key_mac, blob[:mac_pos], ranges(), beside)
     if not hmac_mod.compare_digest(computed, bytes(blob[mac_pos:])):
         raise DecodeError(stats)
-    return out
+    return out.getvalue()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -84,7 +85,7 @@ class TestEncodeDecode:
         rcpt.write_text(
             json.dumps(
                 [
-                    {"suite": "B", "pubkey": open(pk_path).read().strip()},
+                    {"suite": "B", "pubkey": Path(pk_path).read_text().strip()},
                     {"suite": "pw", "passphrase": "tote-bag"},
                 ]
             )
@@ -137,7 +138,7 @@ class TestEncodeDecode:
     def test_encode_pads_with_padme(self, tmp_path, keyfiles, capsys):
         sk_path, pk_path = keyfiles
         rcpt = tmp_path / "r.json"
-        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": open(pk_path).read().strip()}]))
+        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": Path(pk_path).read_text().strip()}]))
         msg = tmp_path / "m"
         payload = b"\x00" * 1000  # large enough that the tag clears all key positions
         msg.write_bytes(payload)
@@ -250,7 +251,7 @@ class TestEncodeDecode:
     def test_try_all(self, tmp_path, keyfiles, capsys):
         sk_path, pk_path = keyfiles
         rcpt = tmp_path / "r.json"
-        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": open(pk_path).read().strip()}]))
+        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": Path(pk_path).read_text().strip()}]))
         msg = tmp_path / "m"
         msg.write_bytes(b"which suite?")
         blob = tmp_path / "m.purb"
@@ -326,7 +327,7 @@ class TestEncodeDecode:
     def test_negative_dummy_usage_error(self, tmp_path, keyfiles):
         sk_path, pk_path = keyfiles
         rcpt = tmp_path / "r.json"
-        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": open(pk_path).read().strip()}]))
+        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": Path(pk_path).read_text().strip()}]))
         msg = tmp_path / "m"
         msg.write_bytes(b"x")
         with pytest.raises(SystemExit) as info:
@@ -337,7 +338,7 @@ class TestEncodeDecode:
     def test_missing_input_files_reported(self, tmp_path, keyfiles, capsys):
         sk_path, pk_path = keyfiles
         rcpt = tmp_path / "r.json"
-        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": open(pk_path).read().strip()}]))
+        rcpt.write_text(json.dumps([{"suite": "B", "pubkey": Path(pk_path).read_text().strip()}]))
         code = run(
             "encode", "--to", rcpt, "--in", tmp_path / "nope", "--out", tmp_path / "o"
         )

@@ -611,19 +611,28 @@ PIPELINED_BLOBS = {
 }
 
 
-def _payload_threads(monkeypatch):
-    """Record the thread of every payload-cipher and MAC call."""
-    threads = {"mac": [], "cipher": []}
-    entries = (("mac", MACS, HMAC_SHA256), ("cipher", PAYLOAD_SCHEMES, CHACHA20_SCHEME))
-    for name, table, key in entries:
-        real = table[key]
+def _payload_inputs(monkeypatch):
+    """Record every payload-cipher and MAC call as its thread and the
+    bytes it read, a MAC's handed-over ranges joined in the order they
+    arrived, each copied when it was taken."""
+    seen = {"mac": [], "cipher": []}
+    cipher, mac = PAYLOAD_SCHEMES[CHACHA20_SCHEME], MACS[HMAC_SHA256]
 
-        def recording(*args, real=real, name=name):
-            threads[name].append(threading.get_ident())
-            return real(*args)
+    def recording_cipher(key, data, out, block):
+        seen["cipher"].append((threading.get_ident(), bytes(data)))
+        return cipher(key, data, out, block)
 
-        monkeypatch.setitem(table, key, recording)
-    return threads
+    def recording_mac(key, data):
+        try:
+            read = bytes(memoryview(data))
+        except TypeError:  # ranges handed over one at a time
+            read = b"".join(bytes(r) for r in data)
+        seen["mac"].append((threading.get_ident(), read))
+        return mac(key, read)
+
+    monkeypatch.setitem(PAYLOAD_SCHEMES, CHACHA20_SCHEME, recording_cipher)
+    monkeypatch.setitem(MACS, HMAC_SHA256, recording_mac)
+    return seen
 
 
 class TestEncodeThreads:
@@ -770,7 +779,8 @@ class TestEncodeThreads:
 
     def test_scrypt_failure_on_helper(self, registry, keypairs, monkeypatch):
         # The helper takes the scrypt while the calling thread unhides,
-        # slowed here, and fails; the calling thread runs every exchange.
+        # slowed here, and fails at once; the calling thread then starts
+        # no exchange job.
         class Boom(Exception):
             pass
 
@@ -782,9 +792,36 @@ class TestEncodeThreads:
             return real(*args)
 
         monkeypatch.setattr(suites_mod, "password_secret", failing)
+        threads = _dh_threads(monkeypatch)
         _slow_unhide(monkeypatch)
         rs = _k256_recipients(registry, keypairs, 2, passphrase=True)
         assert [type(e) for e in _encode_in_worker(rs, 21)] == [Boom]
+        assert threads == {"k256": [], "x25519": []}
+
+    def test_scrypt_failure_on_calling_thread_stops_helper(self, registry, monkeypatch):
+        # Three passphrases: the helper's scrypt is slowed, and the calling
+        # thread's fails once the helper's has begun.  The helper ends its
+        # scrypt and takes no third one.
+        class Boom(Exception):
+            pass
+
+        real = suites_mod.password_secret
+        calls, helper_began = [], threading.Event()
+
+        def scrypt(*args):
+            calls.append(_on_helper())
+            if _on_helper():
+                helper_began.set()
+                time.sleep(0.3)
+                return real(*args)
+            helper_began.wait(timeout=10)
+            raise Boom
+
+        monkeypatch.setattr(suites_mod, "password_secret", scrypt)
+        pw = registry.by_alias("pw")
+        rs = [Recipient.password(pw, b"pw%d" % i) for i in range(3)]
+        assert [type(e) for e in _encode_in_worker(rs, 26)] == [Boom]
+        assert sorted(calls) == [False, True]
 
     def test_mixed_encodes_under_fast_switching(self, registry, keypairs):
         # Three encoders and their helpers on a 2-vCPU host, with the GIL
@@ -839,16 +876,22 @@ class TestEncodeThreads:
     @pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
     def test_mac_thread_follows_threshold(self, keypairs, monkeypatch, below):
         # From the threshold up, the calling thread encrypts chunk by
-        # chunk and one helper computes the MAC.
+        # chunk and one helper, the only thread started, computes the MAC.
+        # Either way the cipher reads the payload once, in order, and the
+        # MAC reads the finished blob up to its tag once, in order.
         kp = keypairs["B"][0]
         payload = seeded_rng(90).randbytes(ENCODE_OVERLAP_MIN_PAYLOAD - below)
-        threads = _payload_threads(monkeypatch)
-        blob, _ = encode_detailed([pk_recipient(kp)], payload, seeded_rng(91))
+        seen = _payload_inputs(monkeypatch)
+        starts = _counting_starts(monkeypatch)
+        blob, report = encode_detailed([pk_recipient(kp)], payload, seeded_rng(91))
         me = threading.get_ident()
         chunks = 1 if below else -(-len(payload) // OVERLAP_MIN_PAYLOAD)
-        assert threads["cipher"] == [me] * chunks
-        assert len(threads["mac"]) == 1
-        assert (threads["mac"][0] != me) == (not below)
+        assert [t for t, _ in seen["cipher"]] == [me] * chunks
+        assert b"".join(d for _, d in seen["cipher"]) == payload
+        ((mac_thread, mac_read),) = seen["mac"]
+        assert mac_read == blob[: report.mac_pos]
+        assert (mac_thread != me) == (not below)
+        assert starts == [0] * (not below)
         monkeypatch.undo()
         assert decode(blob, pk_identity(kp))[0] == payload
 
@@ -1054,27 +1097,21 @@ class TestDecodeThreads:
         ids=["below", "at"],
     )
     def test_mac_thread_follows_threshold(self, keypairs, monkeypatch, size, off_thread):
+        # The calling thread decrypts the ciphertext in one call; from the
+        # threshold up one helper, the only thread started, computes the
+        # tag.  Either way the MAC reads the blob up to its tag once.
         kp = keypairs["B"][0]
         payload = seeded_rng(80).randbytes(size)
-        blob, _ = encode_detailed([pk_recipient(kp)], payload, seeded_rng(81))
-        threads = {"mac": [], "cipher": []}
-
-        def recording(name, fn):
-            def wrapped(*args, **kwargs):
-                threads[name].append(threading.get_ident())
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        mac_fn = MACS[HMAC_SHA256]
-        cipher = PAYLOAD_SCHEMES[CHACHA20_SCHEME]
-        monkeypatch.setitem(MACS, HMAC_SHA256, recording("mac", mac_fn))
-        monkeypatch.setitem(PAYLOAD_SCHEMES, CHACHA20_SCHEME, recording("cipher", cipher))
+        blob, report = encode_detailed([pk_recipient(kp)], payload, seeded_rng(81))
+        seen = _payload_inputs(monkeypatch)
+        starts = _counting_starts(monkeypatch)
         assert decode(blob, pk_identity(kp))[0] == payload
         me = threading.get_ident()
-        assert threads["cipher"] == [me]
-        assert len(threads["mac"]) == 1
-        assert (threads["mac"][0] != me) == off_thread
+        assert seen["cipher"] == [(me, blob[report.payload_start : report.payload_end])]
+        ((mac_thread, mac_read),) = seen["mac"]
+        assert mac_read == blob[: report.mac_pos]
+        assert (mac_thread != me) == off_thread
+        assert starts == [0] * off_thread
 
     def test_no_thread_outlives_decode(self, keypairs):
         kp = keypairs["B"][0]

@@ -412,10 +412,10 @@ def _secrets(groups, draws) -> list[list[bytes]]:
     ephemeral KeyPair, or its salt.  Draws nothing.
 
     This thread and at most one helper take job indices from one counter
-    until the list runs out or a job raises; each result keeps its job's
-    place, so the scheduling cannot change the secrets.  The exchange
-    jobs join the list only once this thread has run every unhide, which
-    holds the GIL.
+    until the list runs out or a job or an unhide raises; each result
+    keeps its job's place, so the scheduling cannot change the secrets.
+    The exchange jobs join the list only once this thread has run every
+    unhide, which holds the GIL.
     """
     jobs, spans = [], [None] * len(groups)  # spans: each suite's job indices
     for g, ((suite, members), salt) in enumerate(zip(groups, draws)):
@@ -452,6 +452,9 @@ def _secrets(groups, draws) -> list[list[bytes]]:
                     spans[g] = range(start, start + len(halves))
                     exchanges += [partial(suites_mod.encap, suite, eph, p) for p in halves]
             jobs.extend(exchanges)
+        except BaseException:
+            failed.append(None)  # neither thread starts another job
+            raise
         finally:
             ready.release()
         work()

@@ -8,8 +8,9 @@ costs some fifty multiplications, so the codecs decode a whole list of
 keys through `invert_all`, which inverts the list with one of them.
 `sqrt` serves primes p = 3 mod 4: secp256k1's `reverse_map` and map
 constant, while the forward map lifts x to a point by SEC1
-decompression in OpenSSL.  Curve25519's p = 5 mod 8 only needs the
-inverse square root that its codec computes itself.  Only public values
+decompression in OpenSSL.  Curve25519's p = 5 mod 8 only needs an
+inverse square root, which its codec computes itself by a fixed
+addition chain specific to 2^255 - 19.  Only public values
 reach these kernels: points and representatives, never a secret scalar.
 """
 

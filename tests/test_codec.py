@@ -515,15 +515,18 @@ def _dh_threads(monkeypatch, k256_delay=0.0):
     return threads
 
 
-def _slow_unhide(monkeypatch, fail=None):
+def _slow_unhide(monkeypatch, fail=None, after=None):
     """Make every unhide sleep 0.2 s first, so that a helper has taken
-    the first job before the calling thread takes any; then raise fail,
-    if given, instead of unhiding."""
+    the first job before the calling thread takes any; then wait for the
+    event after, if given, and raise fail, if given, instead of
+    unhiding."""
     for group in (suites_mod.Secp256k1Group, suites_mod.Curve25519Group):
         real = group.unhide
 
         def sleeping(self, reps, real=real):
             time.sleep(0.2)
+            if after is not None:
+                after.wait(timeout=10)
             if fail is not None:
                 raise fail
             return real(self, reps)
@@ -763,19 +766,35 @@ class TestEncodeThreads:
         encode_detailed(rs, b"m", seeded_rng(25))
         assert events == ["unhide", "unhide"] + ["dh"] * 4
 
-    @pytest.mark.parametrize("passphrase", [False, True], ids=["keys", "keys+pw"])
-    def test_unhide_failure_releases_waiting_helper(self, registry, keypairs, monkeypatch, passphrase):
+    @pytest.mark.parametrize("passphrases", [0, 1, 3], ids=["keys", "keys+pw", "keys+3pw"])
+    def test_unhide_failure_releases_waiting_helper(self, registry, keypairs, monkeypatch, passphrases):
         # unhide fails on the calling thread before any exchange job
         # exists, while the helper waits for them, after its scrypt if
-        # there is one.  No exchange runs.
+        # there is one.  With three passphrases the helper's first scrypt
+        # is slowed, and the unhide fails once it has begun.  No exchange
+        # runs, and the helper starts no second scrypt.
         class Boom(Exception):
             pass
 
+        real = suites_mod.password_secret
+        calls, helper_began = [], threading.Event()
+
+        def scrypt(*args):
+            calls.append(_on_helper())
+            helper_began.set()
+            if passphrases == 3:
+                time.sleep(0.3)
+            return real(*args)
+
+        monkeypatch.setattr(suites_mod, "password_secret", scrypt)
         threads = _dh_threads(monkeypatch)
-        _slow_unhide(monkeypatch, fail=Boom())
-        rs = _k256_recipients(registry, keypairs, 4, passphrase)
+        _slow_unhide(monkeypatch, fail=Boom(), after=helper_began if passphrases == 3 else None)
+        pw = registry.by_alias("pw")
+        rs = _k256_recipients(registry, keypairs, 4, passphrase=False)
+        rs += [Recipient.password(pw, b"pw%d" % i) for i in range(passphrases)]
         assert [type(e) for e in _encode_in_worker(rs, 20)] == [Boom]
         assert threads == {"k256": [], "x25519": []}
+        assert calls == [True] * min(passphrases, 1)
 
     def test_scrypt_failure_on_helper(self, registry, keypairs, monkeypatch):
         # The helper takes the scrypt while the calling thread unhides,

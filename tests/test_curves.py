@@ -242,6 +242,31 @@ class TestCurve25519Codec:
             assert got == min(r, c25519.P - r)
             done += 1
 
+    @staticmethod
+    def _assert_invsqrt_agrees_with_pow(x):
+        p, sqrt_m1 = c25519.P, c25519.SQRT_M1
+        isr = pow(x, (p - 5) // 8, p)
+        quartic = x * isr * isr % p
+        if quartic in (p - 1, p - sqrt_m1):
+            isr = isr * sqrt_m1 % p
+        got = c25519.invsqrt(x)
+        assert got == (isr, quartic in (1, p - 1))
+        if x:
+            assert got[1] == (legendre_pure(x, p) == 1)
+
+    def test_invsqrt_agrees_with_pow_form(self):
+        p, sqrt_m1 = c25519.P, c25519.SQRT_M1
+        for x in (0, 1, 2, p - 1, p - 2, sqrt_m1, p - sqrt_m1):
+            self._assert_invsqrt_agrees_with_pow(x)
+        rng = seeded_rng(29)
+        for _ in range(200):
+            self._assert_invsqrt_agrees_with_pow(int.from_bytes(rng.randbytes(32), "little") % p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=c25519.P - 1))
+    def test_invsqrt_agrees_with_pow_form_on_any_input(self, x):
+        self._assert_invsqrt_agrees_with_pow(x)
+
     def test_hide_unhide_roundtrip(self):
         from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 

@@ -39,11 +39,7 @@ def cmd_keygen(args) -> int:
     registry = default_registry()
     suite = registry.by_alias(args.suite)
     kp = keygen(suite, system_rng())
-    try:
-        sk_path, pk_path = write_key_files(args.out, kp)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    sk_path, pk_path = write_key_files(args.out, kp)
     print(f"{suite.alias} ({suite.name}): wrote {sk_path} and {pk_path}")
     return 0
 
@@ -115,22 +111,18 @@ def _blob_map(report) -> dict:
 
 def cmd_encode(args) -> int:
     rng = system_rng()
-    try:
-        recipients = _load_recipients(args.to)
-        # Throwaway extra recipients mask the real recipient count.
-        for _ in range(args.dummy):
-            recipients.append(_dummy_recipient(recipients[0].suite, rng))
-        with open(args.infile, "rb") as f:
-            payload = f.read()
-        blob, report = encode_detailed(recipients, payload, rng)
-        with open(args.out, "wb") as f:
-            f.write(blob)
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as f:
-                json.dump(_blob_map(report), f, indent=2)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    recipients = _load_recipients(args.to)
+    # Throwaway extra recipients mask the real recipient count.
+    for _ in range(args.dummy):
+        recipients.append(_dummy_recipient(recipients[0].suite, rng))
+    with open(args.infile, "rb") as f:
+        payload = f.read()
+    blob, report = encode_detailed(recipients, payload, rng)
+    with open(args.out, "wb") as f:
+        f.write(blob)
+    if args.report_json:
+        with open(args.report_json, "w", encoding="utf-8") as f:
+            json.dump(_blob_map(report), f, indent=2)
     print(
         f"wrote {args.out}: {report.purb_len} bytes total, "
         f"{report.header_len} header, "
@@ -141,26 +133,21 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     if args.passphrase is not None and args.suite is not None:
-        print("error: --suite applies to --key only", file=sys.stderr)
-        return 2
-    try:
-        if args.passphrase is not None:
-            kinds = PASSWORD
-            secret = args.passphrase.encode()
-        else:
-            kinds = PUBLIC_KEY
-            secret = read_secret_key(args.key)
-        # A blob does not say which suite it uses: with no --suite, try
-        # every suite of the credential's kind.
-        if args.suite is None:
-            candidates = [s for s in SUITES if s.kind == kinds]
-        else:
-            candidates = [default_registry().by_alias(args.suite)]
-        with open(args.infile, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise ValueError("--suite applies to --key only")
+    if args.passphrase is not None:
+        kinds = PASSWORD
+        secret = args.passphrase.encode()
+    else:
+        kinds = PUBLIC_KEY
+        secret = read_secret_key(args.key)
+    # A blob does not say which suite it uses: with no --suite, try
+    # every suite of the credential's kind.
+    if args.suite is None:
+        candidates = [s for s in SUITES if s.kind == kinds]
+    else:
+        candidates = [default_registry().by_alias(args.suite)]
+    with open(args.infile, "rb") as f:
+        blob = f.read()
 
     # A key the suite cannot use is a usage error; build it here, since
     # inside decode it would pass for a failed decode.
@@ -176,8 +163,7 @@ def cmd_decode(args) -> int:
         except ValueError as e:
             rejected = f"key unusable for suite {suite.alias}: {e}"
     if not identities:
-        print(f"error: {rejected}", file=sys.stderr)
-        return 2
+        raise ValueError(rejected)
 
     exp = trials = 0
     for ident in identities:
@@ -187,12 +173,8 @@ def cmd_decode(args) -> int:
             exp += e.stats.exp_count
             trials += e.stats.trial_count
             continue
-        try:
-            with open(args.out, "wb") as f:
-                f.write(payload)
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        with open(args.out, "wb") as f:
+            f.write(payload)
         if args.stats:
             print(
                 f"exp_count={exp + stats.exp_count} "
@@ -212,11 +194,7 @@ def cmd_pad(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        ds = analyzer.load_sizes(args.sizes, column=args.column)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    ds = analyzer.load_sizes(args.sizes, column=args.column)
     reports = [analyzer.profile(ds, spec) for spec in args.specs]
     print(f"{ds.name}: {len(ds.sizes)} objects")
     print(analyzer.render_table(reports))
@@ -293,7 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Every command's usage and I/O errors end here, as exit 2
+    # (JSONDecodeError and UnicodeDecodeError are ValueErrors).  A failed
+    # decode is a DecodeError, which cmd_decode reports as exit 1.
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

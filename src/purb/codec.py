@@ -555,7 +555,9 @@ def decode(blob, identity: Identity) -> tuple[bytes, DecodeStats]:
     """Trial-decrypt a blob under one identity.
 
     The blob may be any bytes-like object (bytes, bytearray, memoryview,
-    mmap.mmap); it is read through one memoryview and never copied.  The
+    mmap.mmap).  A bytes blob is read in place; any other is copied once
+    first, since another thread or process may write it while it is read,
+    and the tag must verify the very bytes that are decrypted.  The
     suite carries everything a decoder needs; no registry, version
     field, or other cleartext marker is consulted.  Returns the payload
     as bytes and operation counts, or raises DecodeError; all failure
@@ -567,6 +569,8 @@ def decode(blob, identity: Identity) -> tuple[bytes, DecodeStats]:
     """
     stats = DecodeStats()
     try:
+        if not isinstance(blob, bytes):
+            blob = memoryview(blob).tobytes()
         with memoryview(blob) as view:
             return _decode(view, identity, stats), stats
     except Exception:

@@ -176,6 +176,23 @@ class TestEncodeDecode:
         assert run("keygen", "--suite", "A", "--out", root) == 0
         self.encode_with_dummies(tmp_path, monkeypatch, "A", (root + ".sk", root + ".pk"))
 
+    def test_dummy_passphrase_recipients(self, tmp_path):
+        # Dummies of a password suite get random passphrases.
+        rcpt = tmp_path / "r.json"
+        rcpt.write_text('[{"suite": "pw", "passphrase": "tote-bag"}]')
+        msg = tmp_path / "m"
+        msg.write_bytes(b"covered")
+        blob, report = tmp_path / "m.purb", tmp_path / "m.json"
+        assert run(
+            "encode", "--to", rcpt, "--in", msg, "--out", blob, "--dummy", "2",
+            "--report-json", report,
+        ) == 0
+        geo = json.loads(report.read_text())
+        assert [(s["alias"], len(s["entries"])) for s in geo["suites"]] == [("pw", 3)]
+        dec = tmp_path / "d"
+        assert run("decode", "--passphrase", "tote-bag", "--in", blob, "--out", dec) == 0
+        assert dec.read_bytes() == b"covered"
+
     def test_report_json_blob_map(self, tmp_path, keyfiles, capsys):
         sk_path, pk_path = keyfiles
         rcpt = self.write_recipients(tmp_path, pk_path)
@@ -351,6 +368,22 @@ class TestEncodeDecode:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_output_reported(self, tmp_path, keyfiles, capsys):
+        sk_path, pk_path = keyfiles
+        rcpt = self.write_recipients(tmp_path, pk_path)
+        msg = tmp_path / "m"
+        msg.write_bytes(b"nowhere to go")
+        out = tmp_path / "no" / "o"
+        assert run("encode", "--to", rcpt, "--in", msg, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        blob = tmp_path / "m.purb"
+        assert run("encode", "--to", rcpt, "--in", msg, "--out", blob) == 0
+        capsys.readouterr()
+        code = run("decode", "--key", sk_path, "--suite", "B", "--in", blob, "--out", out)
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 class TestPadCommand:
     @pytest.mark.parametrize("length,expect", [(9, "10"), (8, "8"), (1, "1")])
@@ -395,3 +428,9 @@ class TestAnalyzeCommand:
         sizes = tmp_path / "sizes.txt"
         sizes.write_text("12\nnope\n")
         assert run("analyze", "--sizes", sizes) == 2
+
+    def test_unwritable_csv(self, tmp_path, capsys):
+        sizes = tmp_path / "sizes.txt"
+        sizes.write_text("1\n2\n3\n")
+        assert run("analyze", "--sizes", sizes, "--csv", tmp_path / "no" / "rep.csv") == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1459,6 +1459,88 @@ class TestBufferInputs:
             assert str(info.value) == "decode failed"
 
 
+def _flip_while_decrypting(monkeypatch, buf, pos):
+    # Stands in for a concurrent writer: buf[pos] is flipped while the
+    # payload cipher reads and put back before the tag is compared.
+    cipher = PAYLOAD_SCHEMES[CHACHA20_SCHEME]
+
+    def flipping(key, data, out, block):
+        buf[pos] ^= 0x20
+        try:
+            cipher(key, data, out, block)
+        finally:
+            buf[pos] ^= 0x20
+
+    monkeypatch.setitem(PAYLOAD_SCHEMES, CHACHA20_SCHEME, flipping)
+
+
+class TestChangingBuffers:
+    """A buffer that is written while decode reads it yields the payload
+    or DecodeError, never plaintext the tag did not cover."""
+
+    @pytest.mark.parametrize("size", ["normal", "large"])
+    @pytest.mark.parametrize("kind", ["bytearray", "memoryview"])
+    def test_flip_and_restore_is_not_decrypted(self, keypairs, monkeypatch, kind, size):
+        # Reading the caller's buffer once for the cipher and once for
+        # the MAC let this forge "pay Mlice 10" from "pay Alice 10".
+        kp = keypairs["B"][0]
+        payload = b"pay Alice 10" if size == "normal" else _large_payload(76)
+        blob, report = encode_detailed([pk_recipient(kp)], payload, seeded_rng(77))
+        shared = bytearray(blob)
+        buf = shared if kind == "bytearray" else memoryview(shared)
+        _flip_while_decrypting(monkeypatch, shared, report.payload_start + 4)
+        assert decode(buf, pk_identity(kp))[0] == payload
+        assert shared == blob
+
+    @pytest.mark.parametrize("size", ["normal", "large"])
+    def test_writer_thread_under_fast_switching(self, keypairs, size):
+        # A writer flips ciphertext bytes of the shared buffer, one at a
+        # time and each put back after a yield, while decodes run with the
+        # GIL switched every 10 us.
+        kp = keypairs["B"][0]
+        payload = (b"pay Alice 10" * 40) if size == "normal" else _large_payload(78)
+        blob, report = encode_detailed([pk_recipient(kp)], payload, seeded_rng(79))
+        shared = bytearray(blob)
+        start, length = report.payload_start, report.payload_end - report.payload_start
+        stop = threading.Event()
+        outcomes = []
+
+        def write():
+            i = 0
+            while not stop.is_set():
+                pos = start + i % length
+                shared[pos] ^= 0x20
+                time.sleep(0)
+                shared[pos] ^= 0x20
+                i += 4099
+
+        def read():
+            try:
+                for _ in range(30):
+                    try:
+                        outcomes.append(decode(shared, pk_identity(kp))[0])
+                    except DecodeError:
+                        outcomes.append(None)
+            finally:
+                stop.set()
+
+        workers = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(outcomes) == 30
+        assert all(out in (payload, None) for out in outcomes)
+        assert shared == blob
+
+
 class TestMemoryBound:
     def test_payload_is_not_copied(self, keypairs):
         # Encode holds the one blob buffer, written in place (1.03x the

@@ -28,8 +28,8 @@ Both directions run the payload cipher and the MAC in one pass
 yields the blob up to its tag range by range, each once it is final.
 Encode encrypts the payload in one call, or OVERLAP_MIN_PAYLOAD bytes at
 a time from ENCODE_OVERLAP_MIN_PAYLOAD up, and runs the XOR step right
-after the first chunk, which reaches past every key position.  Decode
-yields its one range at once, then decrypts.  From those thresholds up,
+after the first chunk, which reaches past every key position.  Decode's
+payload step yields one range, then decrypts.  From those thresholds up,
 one helper hashes each range, which releases the GIL, while the calling
 thread runs the cipher, which holds it, and waits until the helper has
 taken each range.  Smaller payloads, every fanout and mailbox blob among
@@ -43,9 +43,9 @@ are written.  In CPython the view and getvalue() share that bytes object,
 so getvalue() returns it, not a copy.  Only speed depends on that; the
 result is the same bytes either way.
 
-Decoding is trial-based and reports its operation counts; every failure
-mode collapses into the single opaque DecodeError, and the plaintext
-leaves only after the tag verifies.
+Decoding takes three steps: KEM (one exchange or scrypt), header (trial
+opens, table by table) and payload (the tag, then the plaintext).  It
+counts its operations; every failure is the one opaque DecodeError.
 """
 
 from __future__ import annotations
@@ -407,6 +407,14 @@ def _encrypt_ranges(view, payload, start: int, key_enc: bytes, mask_keys, chunk:
             done = end
 
 
+def _decrypt_ranges(whole, ct, key_enc: bytes, out):
+    """Yield whole, the blob up to its tag, as one range, since all of it
+    is final; then decrypt ct, its payload, in place into out."""
+    yield whole
+    with out.getbuffer() as view:
+        PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct, view, 0)
+
+
 def _secrets(groups, draws) -> list[list[bytes]]:
     """Each suite's shared secrets, in member order, under its draw: its
     ephemeral KeyPair, or its salt.  Draws nothing.
@@ -461,9 +469,9 @@ def _secrets(groups, draws) -> list[list[bytes]]:
 
     # A thread start and join took 159-203 us back to back and 367-383 us
     # after a 2 ms idle (2 vCPU).  A scrypt (about 11 ms) and a k256
-    # exchange (about 210 us) release the GIL, so two of them pay for a
-    # helper: two k256 keys split took 0.2 ms less, and two scrypts 14.7
-    # ms on two threads against 22.2 ms in a row.  So does a scrypt beside
+    # exchange (330-460 us) release the GIL, so two of them may pay for a
+    # helper (see Secp256k1Group.parallel_dh); two scrypts took 14.7 ms
+    # on two threads against 22.2 ms in a row.  So does a scrypt beside
     # the unhides.  X25519 exchanges gain nothing from a second thread.
     slow = len(jobs) + sum(
         len(members) for suite, members in groups
@@ -552,76 +560,68 @@ def encode_detailed(
 
 
 def decode(blob, identity: Identity) -> tuple[bytes, DecodeStats]:
-    """Trial-decrypt a blob under one identity.
+    """Trial-decrypt a blob under one identity: KEM, header, payload.
 
     The blob may be any bytes-like object (bytes, bytearray, memoryview,
     mmap.mmap).  A bytes blob is read in place; any other is copied once
     first, since another thread or process may write it while it is read,
-    and the tag must verify the very bytes that are decrypted.  The
-    suite carries everything a decoder needs; no registry, version
-    field, or other cleartext marker is consulted.  Returns the payload
-    as bytes and operation counts, or raises DecodeError; all failure
-    modes, a meta naming scheme ids other than 01 01 01 among them, are
-    indistinguishable from the caller's point of view.  The
-    scan stops at the first entry point that opens, so decode time
-    depends on membership and on blob length.  The plaintext is returned
-    only if the tag verifies.
+    and the tag must verify the very bytes that are decrypted.  No
+    registry, version field or other cleartext marker is consulted.
+    Returns the payload as bytes and operation counts, or raises
+    DecodeError; all failure modes, a meta naming scheme ids other than
+    01 01 01 among them, look the same to the caller.  Decode time
+    depends on membership and on blob length: the header step stops at
+    the first entry point that opens.
     """
     stats = DecodeStats()
     try:
         if not isinstance(blob, bytes):
             blob = memoryview(blob).tobytes()
         with memoryview(blob) as view:
-            return _decode(view, identity, stats), stats
+            k = _kem_step(view, identity, stats)
+            session_key, meta = _header_step(view, identity.suite, k, stats)
+            return _payload_step(view[:-TAG_LEN], view[-TAG_LEN:], session_key, meta), stats
     except Exception:
         pass
-    # Uniform error: malformed input must look like any other failure.
-    # Raised outside the handler so no internal exception rides along as
-    # __context__.
+    # Raised outside the handler, so no internal exception rides along as
+    # __context__: malformed input must look like any other failure.
     raise DecodeError(stats)
 
 
-def _decode(blob: memoryview, identity: Identity, stats: DecodeStats) -> bytes:
+def _kem_step(view, identity: Identity, stats: DecodeStats) -> bytes:
+    """The shared secret k in view for identity: one exchange or scrypt."""
     suite = identity.suite
-    tau = layout_mod.xor_extract(blob, suite)
+    tau = layout_mod.xor_extract(view, suite)
     if tau is None:
-        raise DecodeError(stats)
+        raise ValueError("blob shorter than every key position")
+    if suite.kind == PASSWORD:
+        return suites_mod.password_secret(suite, tau, identity.passphrase)
+    k = suites_mod.decap(suite, identity.native_key, tau)
+    stats.exp_count += 1
+    return k
 
-    if suite.kind == PUBLIC_KEY:
-        k = suites_mod.decap(suite, identity.native_key, tau)
-        stats.exp_count += 1
-    else:
-        k = suites_mod.password_secret(suite, tau, identity.passphrase)
+
+def _header_step(view, suite: SuiteSpec, k: bytes, stats: DecodeStats) -> tuple[bytes, Meta]:
+    """The session key and meta of the first of k's slots that opens."""
     z, pkey = derive_entry_keys(k, suite)
-
-    for start, end in layout_mod.table_slots(suite, pkey, len(blob)):
+    for start, end in layout_mod.table_slots(suite, pkey, len(view)):
         stats.trial_count += 1
-        plain = open_entry_point(suite, z, blob[start:end])
+        plain = open_entry_point(suite, z, view[start:end])
         if plain is not None:
-            break
-    else:
-        raise DecodeError(stats)
+            meta = Meta.unpack(plain[SESSION_KEY_LEN:])
+            if meta.payload_end > len(view) - TAG_LEN:
+                raise ValueError("payload overlaps the tag")
+            return plain[:SESSION_KEY_LEN], meta
+    raise ValueError("no entry point opens")
 
-    session_key = plain[:SESSION_KEY_LEN]
-    meta = Meta.unpack(plain[SESSION_KEY_LEN:])
-    if TAG_LEN >= len(blob):
-        raise DecodeError(stats)
-    mac_pos = len(blob) - TAG_LEN
-    if meta.payload_end > mac_pos:
-        raise DecodeError(stats)
+
+def _payload_step(whole, tag, session_key: bytes, meta: Meta) -> bytes:
+    """The payload in whole, the blob up to its tag, once tag verifies."""
     key_enc, key_mac = derive_payload_keys(session_key)
-
-    out = layout_mod.zeroed_buffer(meta.payload_end - meta.payload_start)
-
-    def ranges():
-        yield blob[:mac_pos]
-        # Decrypted in place into the buffer that becomes the result.
-        with out.getbuffer() as view:
-            ct = blob[meta.payload_start : meta.payload_end]
-            PAYLOAD_SCHEMES[CHACHA20_SCHEME](key_enc, ct, view, 0)
-
-    beside = meta.payload_end - meta.payload_start >= OVERLAP_MIN_PAYLOAD
-    computed = _mac_beside(key_mac, blob[:mac_pos], ranges(), beside)
-    if not hmac_mod.compare_digest(computed, bytes(blob[mac_pos:])):
-        raise DecodeError(stats)
+    ct = whole[meta.payload_start : meta.payload_end]
+    out = layout_mod.zeroed_buffer(len(ct))
+    beside = len(ct) >= OVERLAP_MIN_PAYLOAD
+    ranges = _decrypt_ranges(whole, ct, key_enc, out)
+    if not hmac_mod.compare_digest(_mac_beside(key_mac, whole, ranges, beside), tag):
+        raise ValueError("tag mismatch")
     return out.getvalue()

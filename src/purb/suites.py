@@ -13,6 +13,7 @@ derivations).
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -91,9 +92,9 @@ class Secp256k1Group:
 
     name = "k256"
     encoded_len = secp256k1.ENCODED_LEN
-    # OpenSSL's exchange takes about 210 us and releases the GIL, so two
-    # of them start encode's helper, which shares the exchange jobs:
-    # 2x200 exchanges took 84 ms on one thread and 44 ms on two (2 vCPU).
+    # OpenSSL's exchange takes 330-460 us and releases the GIL, so two of
+    # them start encode's helper; the gain depends on the host (fanout
+    # encode_ms_tail, 2 vCPU: 148.7-160.7 ms split, 175.2-196.1 ms not).
     # unhide holds the GIL and stays on the calling thread, one batch
     # per suite: 400 keys took 57-62 ms as one batch on one thread and
     # 84-92 ms as two batches of 200 on two.
@@ -269,7 +270,12 @@ def password_secret(suite: SuiteSpec, salt: bytes, passphrase: bytes) -> bytes:
 def write_key_files(prefix: str, kp: KeyPair) -> tuple[str, str]:
     """Write <prefix>.sk (raw scalar) and <prefix>.pk (hex encoded point)."""
     sk_path, pk_path = prefix + ".sk", prefix + ".pk"
-    with open(sk_path, "wb") as f:
+    # Only the owner may read the scalar.  An existing file keeps its mode
+    # under O_CREAT, so the mode is set again before anything is written.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+    with open(os.open(sk_path, flags, 0o600), "wb") as f:
+        if hasattr(os, "fchmod"):
+            os.fchmod(f.fileno(), 0o600)
         f.write(kp.sk)
     with open(pk_path, "w", encoding="ascii") as f:
         f.write(kp.pk_encoded.hex() + "\n")

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,24 @@ class TestKeygen:
 
     def test_unwritable_path(self, tmp_path, capsys):
         assert run("keygen", "--suite", "B", "--out", str(tmp_path / "no" / "k")) == 2
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "over-0644"])
+    def test_secret_key_is_owner_only(self, tmp_path, existing):
+        # Under umask 022, whether or not a world-readable .sk is there
+        # already; the .pk keeps the umask's mode.
+        sk = tmp_path / "k.sk"
+        if existing:
+            sk.write_bytes(b"old scalar")
+            sk.chmod(0o644)
+        umask = os.umask(0o022)
+        try:
+            assert run("keygen", "--suite", "B", "--out", tmp_path / "k") == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(sk.stat().st_mode) & 0o077 == 0
+        assert len(read_secret_key(str(sk))) == 32
+        assert stat.S_IMODE((tmp_path / "k.pk").stat().st_mode) == 0o644
 
 
 class TestEncodeDecode:

@@ -38,7 +38,7 @@ from purb import curve25519, secp256k1
 from purb import suites as suites_mod
 from purb.padding import padme_len
 from purb.rng import seeded_rng
-from purb.suites import TAG_LEN, keygen
+from purb.suites import ENTRY_LEN, SESSION_KEY_LEN, SUITES, TAG_LEN, keygen
 
 # Pinned outputs of the labeled derivations for an all-zero input; computed
 # once from the raw hash primitives and frozen here.
@@ -1178,6 +1178,123 @@ class TestDecodeThreads:
         payload = _large_payload(86)
         blob, _ = encode_detailed([pk_recipient(kp)], payload, seeded_rng(87))
         assert decode(blob, pk_identity(kp))[0] == payload
+
+
+def _resealed_past_tag(keypairs):
+    """A member's blob whose one entry is resealed with a payload that
+    runs into the tag.  Suite A's one key position is bytes 0-63 and its
+    tables start at 64, so the reseal leaves the hidden key alone."""
+    kp = keypairs["A"][0]
+    blob, report = encode_detailed([pk_recipient(kp)], b"past the tag", seeded_rng(90))
+    k = suites_mod.decap(kp.suite, kp.native_key, layout_mod.xor_extract(blob, kp.suite))
+    z, _ = derive_entry_keys(k, kp.suite)
+    ((start, end),) = report.suites[0]["slots"]
+    session_key = open_entry_point(kp.suite, z, blob[start:end])[:SESSION_KEY_LEN]
+    meta = Meta(report.payload_start, report.mac_pos + 1)
+    data = bytearray(blob)
+    data[start:end] = seal_entry_point(kp.suite, z, session_key + meta.pack())
+    return bytes(data), pk_identity(kp)
+
+
+def _by_steps(blob, identity):
+    """decode's three steps composed by hand: the payload or None, and
+    the stats."""
+    stats, view = codec_mod.DecodeStats(), memoryview(bytes(blob))
+    try:
+        k = codec_mod._kem_step(view, identity, stats)
+        session_key, meta = codec_mod._header_step(view, identity.suite, k, stats)
+    except Exception:
+        return None, stats
+    # An entry opened, so the blob holds a whole slot from ht_base on and
+    # is longer than its tag.
+    assert len(view) >= identity.suite.ht_base + ENTRY_LEN > TAG_LEN
+    mac_pos = len(view) - TAG_LEN
+    try:
+        return codec_mod._payload_step(view[:mac_pos], view[mac_pos:], session_key, meta), stats
+    except Exception:
+        return None, stats
+
+
+def _golden_identities(registry, keypairs):
+    """Each member of the "all" seeded blob, in suite order, then a
+    non-member of each suite."""
+    members = [pk_identity(keypairs[s.alias][i]) for i, s in enumerate(SUITES[:-1])]
+    outsiders = [pk_identity(keypairs[s.alias][7]) for s in SUITES[:-1]]
+    pw = registry.by_alias("pw")
+    return members + [Identity(pw, passphrase=b"pin 6")] + outsiders + [
+        Identity(pw, passphrase=b"pin 0")
+    ]
+
+
+@pytest.fixture(scope="module")
+def golden_all(registry, keypairs):
+    return _seeded_blob(registry, keypairs, "all")[0], _golden_identities(registry, keypairs)
+
+
+class TestDecodeSteps:
+    """decode is its KEM, header and payload steps in turn, and a decode
+    that fails before the tag does no payload work."""
+
+    @pytest.mark.parametrize("case", ["non-member", "short", "past-tag"])
+    def test_failure_before_tag_does_no_payload_work(self, keypairs, monkeypatch, case):
+        kp = keypairs["B"][0]
+        blob, _ = encode_detailed([pk_recipient(kp)], b"before the tag", seeded_rng(91))
+        identity, trials = pk_identity(kp), None
+        if case == "non-member":  # tries every slot that fits
+            identity = pk_identity(keypairs["B"][3])
+        elif case == "short":  # shorter than every key position
+            blob, trials = blob[: kp.suite.ht_base - 1], 0
+        else:
+            (blob, identity), trials = _resealed_past_tag(keypairs), 1
+        seen = _payload_inputs(monkeypatch)
+        starts = _counting_starts(monkeypatch)
+        with pytest.raises(DecodeError) as info:
+            decode(blob, identity)
+        assert seen == {"mac": [], "cipher": []}
+        assert starts == []
+        assert info.value.stats.exp_count == (case != "short")
+        if trials is not None:
+            assert info.value.stats.trial_count == trials
+        assert info.value.__context__ is None
+
+    def test_exp_count_rises_only_once_decap_returns(self, keypairs):
+        # The scalar N is out of range, so the key fails before any exchange.
+        kp = keypairs["A"][0]
+        blob, _ = encode_detailed([pk_recipient(kp)], b"no exchange", seeded_rng(94))
+        with pytest.raises(DecodeError) as info:
+            decode(blob, Identity(kp.suite, secret_key=K256_N.to_bytes(32, "big")))
+        assert (info.value.stats.exp_count, info.value.stats.trial_count) == (0, 0)
+
+    def test_no_length_guard_needed(self):
+        # A blob that passes the header step holds a 64-byte slot that
+        # starts at ht_base or later, so it is always longer than its tag.
+        assert min(s.ht_base for s in SUITES) + ENTRY_LEN > TAG_LEN
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_steps_compose_to_decode(self, golden_all, data):
+        # Random blobs, the golden blob intact, with one bit flipped or cut
+        # short, under a member or a non-member of every suite.
+        blob, identities = golden_all
+        identity = data.draw(st.sampled_from(identities))
+        kind = data.draw(st.sampled_from(["random", "intact", "flip", "cut"]))
+        if kind == "random":
+            blob = data.draw(st.binary(max_size=len(blob) + 64))
+        elif kind == "flip":
+            bit = data.draw(st.integers(0, len(blob) * 8 - 1))
+            blob = bytearray(blob)
+            blob[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "cut":
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        expected, steps_stats = _by_steps(blob, identity)
+        try:
+            out, stats = decode(blob, identity)
+        except DecodeError as exc:
+            out, stats = None, exc.stats
+        assert (out, stats) == (expected, steps_stats)
+        if kind == "intact":
+            member = identities.index(identity) < len(SUITES)
+            assert out == (bytes(range(100)) if member else None)
 
 
 class TestRoundTrips:

@@ -44,11 +44,25 @@ def cmd_keygen(args) -> int:
     return 0
 
 
-def _string_field(entry: dict, i: int, name: str) -> str:
+def _string_field(entry: dict, name: str) -> str:
     value = entry.get(name)
     if not isinstance(value, str):
-        raise ValueError(f"recipient {i}: {name!r} must be a string")
+        raise ValueError(f"{name!r} must be a string")
     return value
+
+
+def _recipient(entry) -> Recipient:
+    """One recipient-file entry; a ValueError says what is wrong with it."""
+    if not isinstance(entry, dict):
+        raise ValueError("not a JSON object")
+    alias = _string_field(entry, "suite")
+    try:
+        suite = default_registry().by_alias(alias)
+    except KeyError:
+        raise ValueError(f"unknown suite {alias!r}") from None
+    if suite.kind == PASSWORD:
+        return Recipient.password(suite, _string_field(entry, "passphrase").encode())
+    return Recipient.public_key(suite, bytes.fromhex(_string_field(entry, "pubkey")))
 
 
 def _load_recipients(path: str) -> list[Recipient]:
@@ -58,22 +72,10 @@ def _load_recipients(path: str) -> list[Recipient]:
         raise ValueError("recipient file must be a non-empty JSON array")
     recipients = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"recipient {i}: not a JSON object")
-        alias = _string_field(entry, i, "suite")
         try:
-            suite = default_registry().by_alias(alias)
-        except KeyError:
-            raise ValueError(f"recipient {i}: unknown suite {alias!r}")
-        if suite.kind == PASSWORD:
-            passphrase = _string_field(entry, i, "passphrase").encode()
-            recipients.append(Recipient.password(suite, passphrase))
-        else:
-            pubkey = _string_field(entry, i, "pubkey")
-            try:
-                recipients.append(Recipient.public_key(suite, bytes.fromhex(pubkey)))
-            except ValueError as e:
-                raise ValueError(f"recipient {i}: {e}")
+            recipients.append(_recipient(entry))
+        except ValueError as e:
+            raise ValueError(f"recipient {i}: {e}") from None
     return recipients
 
 
@@ -134,36 +136,29 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     if args.passphrase is not None and args.suite is not None:
         raise ValueError("--suite applies to --key only")
-    if args.passphrase is not None:
-        kinds = PASSWORD
-        secret = args.passphrase.encode()
-    else:
-        kinds = PUBLIC_KEY
-        secret = read_secret_key(args.key)
-    # A blob does not say which suite it uses: with no --suite, try
-    # every suite of the credential's kind.
-    if args.suite is None:
-        candidates = [s for s in SUITES if s.kind == kinds]
-    else:
-        candidates = [default_registry().by_alias(args.suite)]
+    secret = None if args.key is None else read_secret_key(args.key)
     with open(args.infile, "rb") as f:
         blob = f.read()
 
-    # A key the suite cannot use is a usage error; build it here, since
-    # inside decode it would pass for a failed decode.
-    identities = []
-    for suite in candidates:
-        if kinds == PASSWORD:
-            identities.append(Identity(suite, passphrase=secret))
-            continue
-        ident = Identity(suite, secret_key=secret)
-        try:
-            ident.native_key
-            identities.append(ident)
-        except ValueError as e:
-            rejected = f"key unusable for suite {suite.alias}: {e}"
-    if not identities:
-        raise ValueError(rejected)
+    # A blob does not say which suite it uses: with no --suite, try
+    # every suite of the credential's kind.
+    if secret is None:
+        pw = args.passphrase.encode()
+        identities = [Identity(s, passphrase=pw) for s in SUITES if s.kind == PASSWORD]
+    else:
+        # A key the suite cannot use is a usage error; build it here, since
+        # inside decode it would pass for a failed decode.
+        identities = []
+        for suite in SUITES:
+            if suite.kind == PUBLIC_KEY and args.suite in (None, suite.alias):
+                ident = Identity(suite, secret_key=secret)
+                try:
+                    ident.native_key
+                    identities.append(ident)
+                except ValueError as e:
+                    rejected = f"key unusable for suite {suite.alias}: {e}"
+        if not identities:
+            raise ValueError(rejected)
 
     exp = trials = 0
     for ident in identities:

@@ -8,7 +8,8 @@ under sys.settrace and threading.settrace, with pytest's -k EXPR if one
 is given (say, -k "not test_roundtrip_and_bit_balance" to drop the
 slowest tests), and prints, as its last line, a JSON object: the
 executable lines that did not run, per file, their count, the suite's
-exit code and the wall time.  Executable lines are those that carry
+exit code and the wall time.  It exits with the suite's exit code, so
+a failing suite fails the run.  Executable lines are those that carry
 bytecode.  Lines run only in a child process, such as a multiprocessing
 worker or a CLI run through subprocess, count as not run.  pytest does
 not collect this file: its name does not start with test_.
@@ -94,7 +95,7 @@ def main(argv=None) -> int:
         "tests_exit_code": int(status),
         "wall_s": round(time.perf_counter() - start, 1),
     }))
-    return 0
+    return int(status)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 import json
 import os
+import runpy
 import stat
+import sys
 from pathlib import Path
 
 import pytest
@@ -454,3 +456,34 @@ class TestAnalyzeCommand:
         sizes.write_text("1\n2\n3\n")
         assert run("analyze", "--sizes", sizes, "--csv", tmp_path / "no" / "rep.csv") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ("x", "not a JSON object"),
+        ({"suite": 1}, "'suite' must be a string"),
+        ({"suite": "Z", "pubkey": "00"}, "unknown suite 'Z'"),
+        ({"suite": "B", "pubkey": "00ff"}, "encoded public key has wrong length"),
+    ],
+    ids=["not-object", "suite-int", "unknown-suite", "pubkey-length"],
+)
+def test_recipient_error_names_its_entry(tmp_path, capsys, entry, message):
+    # One error of each place that checks an entry; the second entry is
+    # the bad one, and the error names it once.
+    rcpt = tmp_path / "r.json"
+    rcpt.write_text(json.dumps([{"suite": "pw", "passphrase": "p"}, entry]))
+    msg = tmp_path / "m"
+    msg.write_bytes(b"x")
+    assert run("encode", "--to", rcpt, "--in", msg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: recipient 1: {message}\n"
+
+
+def test_module_runs_as_script(monkeypatch, capsys):
+    # python -m purb.cli, in this process, on a freshly imported module.
+    monkeypatch.delitem(sys.modules, "purb.cli")
+    monkeypatch.setattr(sys, "argv", ["purb", "pad", "--len", "9"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("purb.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "10 (+1 bytes, +11.11%)\n"

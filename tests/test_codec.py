@@ -1782,3 +1782,13 @@ class TestDecodeStats:
             per_member.append(stats.trial_count)
         assert max(per_member) <= 64
         assert sum(per_member) / len(per_member) <= 8  # log2(64) + 2
+
+
+class TestRecipientKind:
+    def test_public_key_needs_public_key_suite(self, registry):
+        with pytest.raises(ValueError, match="not a public-key suite"):
+            Recipient.public_key(registry.by_alias("pw"), bytes(32))
+
+    def test_password_needs_password_suite(self, registry):
+        with pytest.raises(ValueError, match="not a password suite"):
+            Recipient.password(registry.by_alias("B"), b"p")

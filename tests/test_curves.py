@@ -20,7 +20,7 @@ from helpers import (
 from purb import curve25519 as c25519
 from purb import fieldmath
 from purb import secp256k1 as k256
-from purb.rng import seeded_rng
+from purb.rng import SeededSource, seeded_rng
 
 # Published test vectors for the 64-byte pair codec's maps:
 # (x, y, preimage per branch or None).
@@ -460,3 +460,38 @@ class TestNativeDhAgainstLadder:
             )
             want = scalar_mult(a, pub_b)[0].to_bytes(32, "big")
             assert shared == want
+
+
+def test_x25519_map_from_curve_rejects_unmappable_u():
+    # u = 0 is the order-2 point, in the unmappable half of the curve.
+    assert not c25519.can_map_from_curve(0)
+    with pytest.raises(ValueError, match="no representative"):
+        c25519.map_from_curve(0, False)
+
+
+def test_k256_reverse_map_branch0_rejects_odd_y_at_t1_zero():
+    # f(0) = (C2, y0) is where t1 = C1 - (2x + 1) vanishes: branch 0 keeps
+    # only the even y there, and y0 is even.
+    (x, y0) = k256.forward_map_all([0])[0]
+    assert x == k256.C2 and y0 % 2 == 0
+    assert k256.reverse_map(x, y0, 0) == 0
+    assert k256.reverse_map(x, k256.P - y0, 0) is None
+
+
+class _OnesFirst(SeededSource):
+    """A seeded source whose first draw is all ff bytes."""
+
+    drawn = False
+
+    def randbytes(self, n):
+        if not self.drawn:
+            self.drawn = True
+            return b"\xff" * n
+        return super().randbytes(n)
+
+
+def test_k256_hide_redraws_u_not_below_p():
+    # 2^256 - 1 >= P, so hide rejects the first u and draws again.
+    rep = k256.hide(K256_G, _OnesFirst(61))
+    assert rep[:32] != b"\xff" * 32
+    assert k256.unhide([rep]) == [K256_G]

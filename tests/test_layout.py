@@ -11,7 +11,13 @@ from helpers import (
     xor_ranges_bytewise,
 )
 from purb.codec import Identity, Recipient, decode, derive_entry_keys, encode_detailed
-from purb.layout import HeaderLayout, in_range_positions, xor_encode, xor_extract
+from purb.layout import (
+    EncodeReport,
+    HeaderLayout,
+    in_range_positions,
+    xor_encode,
+    xor_extract,
+)
 from purb.rng import seeded_rng
 from purb.suites import decap, keygen
 
@@ -522,3 +528,12 @@ class TestPlanMetrics:
 
         assert build(77) == build(77)
         assert build(77) != build(78)
+
+
+def test_empty_report_is_fully_compact():
+    assert EncodeReport().compactness == 1.0
+
+
+def test_build_blob_needs_lengths():
+    with pytest.raises(ValueError, match="finalize_lengths must run first"):
+        HeaderLayout().build_blob(seeded_rng(62))

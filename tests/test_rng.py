@@ -1,7 +1,9 @@
 import tracemalloc
 
+import pytest
+
 from helpers import seeded_stream
-from purb.rng import seeded_rng
+from purb.rng import SeededSource, seeded_rng
 
 
 def test_one_large_request_equals_many_small_and_oracle():
@@ -41,3 +43,8 @@ def test_large_draw_peaks_near_twice_its_size():
         tracemalloc.stop()
     assert len(out) == n
     assert peak <= 2.5 * n, peak / n
+
+
+def test_seed_must_be_bytes_or_int():
+    with pytest.raises(TypeError, match="bytes or int"):
+        SeededSource("x")

@@ -318,3 +318,15 @@ class TestKeyFiles:
         path = tmp_path / "hexkey.sk"
         path.write_text(kp.sk.hex() + "\n")
         assert read_secret_key(str(path)) == kp.sk
+
+
+def test_encap_rejects_password_suite(registry):
+    with pytest.raises(ValueError, match="needs a public-key suite"):
+        encap(registry.by_alias("pw"), None, [bytes(32)])
+
+
+def test_odd_length_hex_secret_key_read_raw(tmp_path):
+    # Hex digits that do not pair up into bytes are no hex text.
+    path = tmp_path / "odd.sk"
+    path.write_bytes(b"abc")
+    assert read_secret_key(str(path)) == b"abc"

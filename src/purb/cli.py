@@ -136,15 +136,14 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     if args.passphrase is not None and args.suite is not None:
         raise ValueError("--suite applies to --key only")
-    secret = None if args.key is None else read_secret_key(args.key)
+    secret = read_secret_key(args.key) if args.key is not None else args.passphrase.encode()
     with open(args.infile, "rb") as f:
         blob = f.read()
 
     # A blob does not say which suite it uses: with no --suite, try
     # every suite of the credential's kind.
-    if secret is None:
-        pw = args.passphrase.encode()
-        identities = [Identity(s, passphrase=pw) for s in SUITES if s.kind == PASSWORD]
+    if args.passphrase is not None:
+        identities = [Identity(s, passphrase=secret) for s in SUITES if s.kind == PASSWORD]
     else:
         # A key the suite cannot use is a usage error; build it here, since
         # inside decode it would pass for a failed decode.

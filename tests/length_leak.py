@@ -1,6 +1,6 @@
 """What a blob's length tells an outsider about its recipient count.
 
-    python tests/length_leak.py [--samples N]
+    python tests/length_leak.py
 
 Run from the root of a checkout.  A blob's length depends only on its
 header's end and the payload length, and the header's end only on the
@@ -18,15 +18,14 @@ median anonymity set: the number of counts that could have produced
 the observed length, at the median over (R, L).  A known payload length
 is one model; the other draws the payload length log-uniformly from
 SYNTHETIC, the same for every R, so that only L is seen.  The README's
-"What the length reveals" figures are this script's output with its
-defaults (200 placements per count, about 11 s on a 2-vCPU host);
+"What the length reveals" figures are this script's output (SAMPLES
+placements per count from SEED, about 11 s on a 2-vCPU host);
 tests/test_length_leak.py pins a small grid of the same functions.
 pytest does not collect this file: its name does not start with test_.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import random
 import sys
@@ -45,6 +44,8 @@ MIXES = {"B": ("B",), "A+B": ("A", "B"), "A+B+pw": ("A", "B", "pw")}
 KNOWN = (1_000, 100_000, 10_000_000)
 # Payload lengths log-uniform over [100 B, 10 MB]: (count, lo, hi, seed).
 SYNTHETIC = (400, 100, 10_000_000, 18)
+# Placements per recipient count, and the seed of their position keys.
+SAMPLES, SEED = 200, 18
 
 
 def length_distribution(
@@ -128,11 +129,7 @@ def leak(mix: tuple[str, ...], payload_lens, samples: int, seed: int, counts=COU
     return mutual_information(dists), distinct, median_anonymity_set(dists)
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--samples", type=int, default=200, help="placements per count")
-    p.add_argument("--seed", type=int, default=18)
-    args = p.parse_args(argv)
+def main() -> int:
     models = [(f"{n:,} B", [n]) for n in KNOWN]
     _, lo, hi, _ = SYNTHETIC
     models.append((f"log-uniform {lo:,} B-{hi:,} B", synthetic_payload_lens()))
@@ -141,7 +138,7 @@ def main(argv=None) -> int:
     print("|---|---|---:|---:|---:|")
     for name, mix in MIXES.items():
         for label, payload_lens in models:
-            bits, distinct, median = leak(mix, payload_lens, args.samples, args.seed)
+            bits, distinct, median = leak(mix, payload_lens, SAMPLES, SEED)
             print(f"| {name} | {label} | {bits:.2f} | {distinct} | {median} |")
     return 0
 
